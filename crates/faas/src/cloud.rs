@@ -97,13 +97,6 @@ impl EndpointRegistration {
         }
     }
 
-    fn take_finished(&mut self) -> Vec<(TaskId, TaskOutput)> {
-        match self {
-            EndpointRegistration::Single(e) => e.take_finished(),
-            EndpointRegistration::Multi(m) => m.take_finished(),
-        }
-    }
-
     fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, TaskOutput)>) {
         match self {
             EndpointRegistration::Single(e) => e.drain_finished_into(out),
@@ -189,15 +182,13 @@ pub struct CloudService {
     cache: NextEventCache,
     /// Endpoint id → cache slot.
     slots: BTreeMap<EndpointId, usize>,
-    /// Cache slot → endpoint id.
-    slot_ids: Vec<EndpointId>,
     /// Cache slot → interned `faas.ep.{id}` trace component.
     slot_syms: Vec<Sym>,
     /// Cache slot → interned plain endpoint name (shared by every task
     /// record targeting the endpoint).
     slot_name_syms: Vec<Sym>,
-    /// Slots in endpoint-name order — the order the pre-index exhaustive
-    /// scan advanced and collected endpoints in. Rebuilt on registration.
+    /// Slots in endpoint-name order — the order the serial step loop
+    /// advances and collects endpoints in. Rebuilt on registration.
     ordered_slots: Vec<usize>,
     /// Slot → position in `ordered_slots`: lets the hot loop order due/
     /// touched slot lists by comparing integers instead of endpoint names.
@@ -212,12 +203,13 @@ pub struct CloudService {
     /// Scratch: finished outputs drained from one endpoint, reused across
     /// steps so collection allocates nothing in steady state.
     finished_scratch: Vec<(TaskId, TaskOutput)>,
-    /// Any fault injector present (cloud's own or an endpoint's)? If so the
-    /// exhaustive advance path is used so fault consult boundaries — which
-    /// fire at the first consult at/after their scheduled time — never move.
+    /// Any fault injector present (cloud's own or an endpoint's)? If so every
+    /// endpoint counts as due at every step (see [`Self::dispatch_step`]) so
+    /// fault consult boundaries — which fire at the first consult at/after
+    /// their scheduled time — never move.
     fault_aware: bool,
     /// An `endpoint_mut` borrow escaped; re-evaluate `fault_aware` before
-    /// the next advance.
+    /// the next advance (see [`Self::settle_fault_posture`]).
     recheck_faults: bool,
     /// Observability handle, propagated to endpoints at registration.
     obs: Obs,
@@ -250,9 +242,9 @@ pub struct CloudService {
     /// EWMA of per-window coordinator overhead (extraction + dispatch +
     /// state-commit, excluding the barrier wait), wall nanoseconds.
     window_overhead_ns: u64,
-    /// Threads spawned by pooled drains (domain workers + merge workers).
-    /// One pool per drain: this stays at `domains + 1` per drain no matter
-    /// how many windows run.
+    /// Threads spawned by the window driver (domain workers + merge
+    /// workers). One pool per drive: this stays at `domains + 1` per drive
+    /// no matter how many windows run.
     pool_spawns: u64,
     /// High-water mark of trace-replay batches in flight on the merge
     /// worker while the coordinator kept running.
@@ -283,7 +275,6 @@ impl CloudService {
             injector: None,
             cache: NextEventCache::new(),
             slots: BTreeMap::new(),
-            slot_ids: Vec::new(),
             slot_syms: Vec::new(),
             slot_name_syms: Vec::new(),
             ordered_slots: Vec::new(),
@@ -332,10 +323,10 @@ impl CloudService {
         &self.domain_stats
     }
 
-    /// Threads spawned by pooled drains so far: `domains + 1` (the merge
-    /// worker) per drain that ran at least one pooled window — never per
-    /// window. Run-dependent only in *when* pools were warranted, not in
-    /// any committed byte.
+    /// Threads spawned by the window driver so far: `domains + 1` (the
+    /// merge worker) per drive — a drain or a bounded `advance_to` — that
+    /// ran at least one pooled window, never per window. Run-dependent only
+    /// in *when* pools were warranted, not in any committed byte.
     pub fn pool_spawns(&self) -> u64 {
         self.pool_spawns
     }
@@ -438,22 +429,35 @@ impl CloudService {
     /// Run the event loop to quiescence — until neither the wire nor any
     /// endpoint holds a pending event — using pooled, pipelined parallel
     /// windows whenever the federation and remaining work admit them.
-    /// Leaves `now` at the last committed instant (like the serial step
-    /// loop it replaces), and produces a committed trace byte-identical to
-    /// that loop's at any worker width.
+    /// Leaves `now` at the last committed instant, and produces a committed
+    /// trace byte-identical to the serial step loop's at any worker width.
     pub fn drain_to_quiescence(&mut self) -> SimTime {
-        // Fault posture cannot change mid-drain (`endpoint_mut` escapes need
-        // `&mut self` back), so resolve it once up front.
+        self.run_until(SimTime::FAR_FUTURE);
+        self.now
+    }
+
+    /// Dispatch every pending instant at or before `t` — through the window
+    /// driver when the federation admits parallel windows, through the
+    /// serial step loop otherwise — leaving `now` at the last instant
+    /// dispatched. The fault posture cannot change mid-run (`endpoint_mut`
+    /// escapes need `&mut self` back), so it is settled once up front.
+    fn run_until(&mut self, t: SimTime) {
+        self.settle_fault_posture();
+        if self.parallel_static_ok() {
+            self.drive_windows(t);
+        } else {
+            self.advance_serial(t);
+        }
+    }
+
+    /// Re-derive `fault_aware` after an `endpoint_mut` escape (the borrow
+    /// may have attached or replaced an injector).
+    fn settle_fault_posture(&mut self) {
         if self.recheck_faults {
             self.recheck_faults = false;
             self.fault_aware =
                 self.injector.is_some() || self.endpoints.iter().any(|ep| ep.has_injector());
         }
-        if self.parallel_static_ok() {
-            return self.drain_pooled();
-        }
-        while self.step_next(SimTime::FAR_FUTURE).is_some() {}
-        self.now
     }
 
     /// Attach a fault injector. The cloud consults it for WAN partitions on
@@ -532,14 +536,13 @@ impl CloudService {
             Some(&slot) => slot,
             None => {
                 let slot = self.cache.register();
-                self.slot_ids.push(eid.clone());
                 self.slot_syms.push(self.trace.intern(&format!("faas.ep.{id}")));
                 self.slot_name_syms.push(self.trace.intern(id));
                 self.slots.insert(eid.clone(), slot);
                 // A new name shifts ranks: rebuild the name-order walk list
                 // (registration is rare; the hot loop only reads these).
                 self.ordered_slots = self.slots.values().copied().collect();
-                self.slot_rank = vec![0; self.slot_ids.len()];
+                self.slot_rank = vec![0; self.ordered_slots.len()];
                 for (rank, &s) in self.ordered_slots.iter().enumerate() {
                     self.slot_rank[s] = rank;
                 }
@@ -848,54 +851,28 @@ impl CloudService {
         self.now
     }
 
-    /// Collect finished outputs from every endpoint onto the return wire
-    /// (exhaustive path, used when fault injection is active).
-    fn collect_returns(&mut self, now: SimTime) {
-        let mut returns: Vec<(TaskId, TaskOutput, String, hpcci_sim::SimDuration)> = Vec::new();
-        for &slot in &self.ordered_slots {
-            let ep = &mut self.endpoints[slot];
-            let latency = ep.wan_latency();
-            for (task, output) in ep.take_finished() {
-                returns.push((task, output, self.slot_ids[slot].0.clone(), latency));
-            }
-        }
-        for (task, output, endpoint, latency) in returns {
-            self.trace.record(
-                now,
-                "faas.cloud",
-                "task.returning",
-                {
-                    let mut d = String::with_capacity(35);
-                    task.write_label(&mut d);
-                    d.push_str(" from endpoint");
-                    d
-                },
-            );
-            let clear = self.wire_clear_at(&endpoint, now);
-            self.wire.push(clear + latency, InFlight::Return { task, output });
-        }
-    }
-
     /// Collect finished outputs from endpoints touched since the last
-    /// collection. Injector-free, an endpoint's `finished` buffer can only be
-    /// non-empty if the cloud advanced it or enqueued into it, so skipping
-    /// untouched endpoints observes exactly what the exhaustive scan would.
+    /// collection onto the return wire, in endpoint-name order (FIFO within
+    /// an endpoint). An endpoint's `finished` buffer can only be non-empty if
+    /// the cloud advanced it, enqueued into it, or lent it out through
+    /// [`Self::endpoint_mut`] — each of which marks it touched — so skipping
+    /// untouched endpoints observes exactly what a scan of every endpoint
+    /// would.
     fn collect_touched_returns(&mut self, now: SimTime) {
         if self.touched.is_empty() {
             return;
         }
-        // Endpoint-name order: the order the exhaustive scan collected in.
         {
             let rank = &self.slot_rank;
             self.touched.sort_unstable_by_key(|&s| rank[s]);
         }
         self.touched.dedup();
-        // Per-endpoint drain through a reused scratch vector: same record and
-        // wire-push order as the exhaustive scan (endpoint-name order, FIFO
-        // within an endpoint), but no per-step vector allocations.
+        // Per-endpoint drain through a reused scratch vector: no per-step
+        // vector allocations in steady state.
         let mut finished = std::mem::take(&mut self.finished_scratch);
         for i in 0..self.touched.len() {
-            let ep = &mut self.endpoints[self.touched[i]];
+            let slot = self.touched[i];
+            let ep = &mut self.endpoints[slot];
             ep.drain_finished_into(&mut finished);
             if finished.is_empty() {
                 continue;
@@ -906,15 +883,17 @@ impl CloudService {
                 task.write_label(&mut d);
                 d.push_str(" from endpoint");
                 self.trace.record(now, "faas.cloud", "task.returning", d);
-                // No injector on this path: the wire is never partitioned.
-                self.wire.push(now + latency, InFlight::Return { task, output });
+                let clear = self.wire_clear_at(self.slot_name_syms[slot].as_str(), now);
+                self.wire
+                    .push(clear + latency, InFlight::Return { task, output });
             }
         }
         self.touched.clear();
         self.finished_scratch = finished;
     }
 
-    /// Handle one due wire event (shared by both advance paths).
+    /// Handle one due wire event (shared by the serial step loop; the window
+    /// driver replays the same effects in `parallel::commit_window`).
     fn handle_wire_event(&mut self, at: SimTime, event: InFlight) {
         match event {
             InFlight::Submit { identity, slot, command } => {
@@ -940,9 +919,7 @@ impl CloudService {
                     EndpointRegistration::Multi(m) => m.enqueue(task, &identity, &command, at),
                 };
                 self.cache.mark_dirty(slot);
-                if !self.fault_aware {
-                    self.touched.push(slot);
-                }
+                self.touched.push(slot);
                 let record = &mut self.tasks[task.0 as usize - 1];
                 let transition = match result {
                     Ok(()) => record.transition(TaskState::QueuedAtEndpoint { at }),
@@ -991,42 +968,70 @@ impl CloudService {
         }
     }
 
-    /// Exhaustive advance: probe and advance every endpoint at every step.
-    /// Used whenever a fault injector is in play, because injected faults
-    /// fire at the first consult at/after their scheduled time — skipping a
-    /// "quiescent" endpoint would move its consult boundary and change which
-    /// instant a fault lands on.
-    fn advance_all_to(&mut self, t: SimTime) {
-        loop {
-            let wire_next = self.wire.next_time();
-            let ep_next = self.endpoints.iter().filter_map(|ep| ep.next_event()).min();
-            let step = match (wire_next, ep_next) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            if step > t {
-                break;
-            }
-            self.now = step;
-            self.events_dispatched += self.endpoints.len() as u64;
-            for &slot in &self.ordered_slots {
-                self.endpoints[slot].advance_to(step);
-            }
-            self.collect_returns(step);
-            while let Some((at, event)) = self.wire.pop_due(step) {
-                self.events_dispatched += 1;
-                self.handle_wire_event(at, event);
-            }
+    /// The earliest pending instant: the wire's head or the earliest
+    /// endpoint event. Fault-aware, the endpoint side is an exhaustive probe
+    /// of every endpoint; otherwise the dispatch cache answers after
+    /// re-probing only dirty (and volatile) slots.
+    fn next_step(&mut self) -> Option<SimTime> {
+        let endpoint_next = if self.fault_aware {
+            self.endpoints.iter().filter_map(|ep| ep.next_event()).min()
+        } else {
+            let endpoints = &self.endpoints;
+            self.cache.refresh(|slot| endpoints[slot].next_event());
+            self.cache.min()
+        };
+        match (self.wire.next_time(), endpoint_next) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
-        self.now = t;
     }
 
-    /// Re-probe dirty (and volatile) endpoint slots.
-    fn refresh_cache(&mut self) {
-        let endpoints = &self.endpoints;
-        self.cache.refresh(|slot| endpoints[slot].next_event());
+    /// The serial step loop: dispatch every pending instant at or before
+    /// `t` in time order, leaving `now` at the last one dispatched.
+    fn advance_serial(&mut self, t: SimTime) {
+        while let Some(step) = self.next_step().filter(|&s| s <= t) {
+            self.dispatch_step(step);
+        }
+    }
+
+    /// One pass over instant `step`: advance the due endpoints in
+    /// endpoint-name order, collect their finished outputs onto the return
+    /// wire, then handle the wire events due at `step`.
+    ///
+    /// The due set is the only thing fault injection changes. With an
+    /// injector every endpoint is due — injected faults fire at the first
+    /// consult at/after their scheduled time, so skipping a quiescent
+    /// endpoint would move its consult boundary and change which instant a
+    /// fault lands on. Without one, only the endpoints the cache finds due
+    /// are advanced.
+    fn dispatch_step(&mut self, step: SimTime) {
+        self.now = step;
+        self.due_scratch.clear();
+        if self.fault_aware {
+            self.due_scratch.extend_from_slice(&self.ordered_slots);
+        } else {
+            self.due_scratch.extend(self.cache.due(step));
+            let rank = &self.slot_rank;
+            self.due_scratch.sort_unstable_by_key(|&s| rank[s]);
+        }
+        self.events_dispatched += self.due_scratch.len() as u64;
+        for i in 0..self.due_scratch.len() {
+            let slot = self.due_scratch[i];
+            self.endpoints[slot].advance_to(step);
+            self.cache.mark_dirty(slot);
+            self.touched.push(slot);
+        }
+        self.collect_touched_returns(step);
+        // Bulk drain: an event a handler pushes at `step` itself waits for
+        // the loop's next pass over the same instant.
+        let mut wire_scratch = std::mem::take(&mut self.wire_scratch);
+        wire_scratch.clear();
+        self.wire.drain_due_into(step, &mut wire_scratch);
+        self.events_dispatched += wire_scratch.len() as u64;
+        for (at, event) in wire_scratch.drain(..) {
+            self.handle_wire_event(at, event);
+        }
+        self.wire_scratch = wire_scratch;
     }
 }
 
@@ -1058,101 +1063,24 @@ impl Advance for CloudService {
         next
     }
 
-    /// One step of the drive loop through a `&mut` entry point: refresh the
-    /// dispatch cache once and reuse it for both the probe and the advance.
+    /// One instant of the serial step loop through a `&mut` entry point:
+    /// refresh the dispatch cache once and reuse it for both the probe and
+    /// the advance.
     ///
     /// The read-only [`Advance::next_event`] cannot flush pending dirty bits,
     /// so after any advance it must fall back to the exhaustive deep scan of
     /// every endpoint. Driving via `step_next` instead makes the steady-state
     /// cost per step `O(due endpoints)` probes, not `O(all endpoints)` walks.
+    /// One instant never opens a parallel window, so this is always serial.
     fn step_next(&mut self, deadline: SimTime) -> Option<SimTime> {
-        if self.fault_aware || self.recheck_faults {
-            // Fault injection in play (or undecided): keep the exhaustive
-            // probe — faults fire at consult boundaries, so every endpoint
-            // must be consulted at every step.
-            let next = self.next_event()?;
-            if next > deadline {
-                return None;
-            }
-            self.advance_to(next);
-            return Some(next);
-        }
-        self.refresh_cache();
-        let step = match (self.wire.next_time(), self.cache.min()) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return None,
-        };
-        if step > deadline {
-            return None;
-        }
-        self.advance_to(step);
+        self.settle_fault_posture();
+        let step = self.next_step().filter(|&s| s <= deadline)?;
+        self.advance_serial(step);
         Some(step)
     }
 
     fn advance_to(&mut self, t: SimTime) {
-        if self.recheck_faults {
-            self.recheck_faults = false;
-            self.fault_aware =
-                self.injector.is_some() || self.endpoints.iter().any(|ep| ep.has_injector());
-        }
-        if self.fault_aware {
-            self.advance_all_to(t);
-            return;
-        }
-        if self.parallel_static_ok() {
-            if self.parallel_window_ok(t) {
-                self.advance_window_parallel(t);
-                self.now = t;
-                return;
-            }
-            // A worker budget is configured but this window is too small (or
-            // zero-width): count the serial fallback so the stats tell the
-            // whole story.
-            self.domain_stats.serial_fallbacks += 1;
-        }
-        loop {
-            self.refresh_cache();
-            // Earliest wire event or endpoint event within the window.
-            let step = match (self.wire.next_time(), self.cache.min()) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            if step > t {
-                break;
-            }
-            self.now = step;
-            // Advance only endpoints with a due event, in endpoint-name
-            // order — the same order the exhaustive scan advanced them in.
-            self.due_scratch.clear();
-            self.due_scratch.extend(self.cache.due(step));
-            {
-                let rank = &self.slot_rank;
-                self.due_scratch.sort_unstable_by_key(|&s| rank[s]);
-            }
-            self.events_dispatched += self.due_scratch.len() as u64;
-            for i in 0..self.due_scratch.len() {
-                let slot = self.due_scratch[i];
-                self.endpoints[slot].advance_to(step);
-                self.cache.mark_dirty(slot);
-                self.touched.push(slot);
-            }
-            self.collect_touched_returns(step);
-            // Handle due wire events. Handlers never push at-or-before
-            // `step`, so a bulk drain sees the same events the incremental
-            // pop loop would.
-            let mut wire_scratch = std::mem::take(&mut self.wire_scratch);
-            wire_scratch.clear();
-            self.wire.drain_due_into(step, &mut wire_scratch);
-            self.events_dispatched += wire_scratch.len() as u64;
-            for (at, event) in wire_scratch.drain(..) {
-                self.handle_wire_event(at, event);
-            }
-            self.wire_scratch = wire_scratch;
-        }
+        self.run_until(t);
         self.now = t;
     }
 }

@@ -1,12 +1,16 @@
-//! Conservative parallel advancement of one federation.
+//! The window driver: conservative parallel advancement of one federation.
 //!
-//! The cloud's serial event loop interleaves three phases at every step
+//! The cloud has two advance paths. The serial step loop
+//! (`CloudService::dispatch_step`) interleaves three phases at every step
 //! instant: advance due endpoints (endpoint-name order), collect finished
 //! outputs onto the return wire, and handle due wire events (FIFO within a
-//! timestamp). This module splits the *endpoint advancement* across worker
-//! threads — one [`hpcci_sim::DomainPlan`] lookahead domain per thread —
-//! and then replays a deterministic merge of the domains' logs so the
-//! committed trace is **byte-identical** to what the serial loop writes.
+//! timestamp). This module is the other path: [`CloudService::drive_windows`]
+//! carries both `drain_to_quiescence` and bounded `advance_to(t)` through
+//! deadline-clipped windows. It splits the *endpoint advancement* of a
+//! window across worker threads — one [`hpcci_sim::DomainPlan`] lookahead
+//! domain per thread — and then replays a deterministic merge of the
+//! domains' logs so the committed trace is **byte-identical** to what the
+//! serial loop writes.
 //!
 //! Why a whole window is one safe horizon (see [`hpcci_sim::horizon`]):
 //! every cloud→endpoint `Deliver` that can land in an `advance_to(t)`
@@ -40,11 +44,15 @@
 //!    would have written — the pass is pure formatting, which is why it
 //!    can be deferred off the critical path.
 //!
-//! [`CloudService::drain_pooled`] keeps one persistent pool per drain —
-//! `plan.len()` domain workers plus one merge worker, spawned at the first
-//! eligible window — and feeds it per-window [`DomainBatch`]es over
-//! channels with full scratch reuse, so a steady-state window allocates
-//! almost nothing and spawns no threads.
+//! One drive keeps one persistent pool — `plan.len()` domain workers plus
+//! one merge worker, spawned at the first eligible window — and feeds it
+//! per-window [`DomainBatch`]es over channels with full scratch reuse, so a
+//! steady-state window allocates almost nothing and spawns no threads.
+//! Instants that do not warrant a window run through the serial step loop,
+//! with the trace flushed back from the merge worker first. A worker that
+//! panics sends its payload back as a poison result; the coordinator
+//! re-raises it, so a panic inside a window surfaces as a panic of the
+//! drive instead of a hang at the barrier.
 //!
 //! Anything the replay cannot reproduce exactly falls back to serial before
 //! the window starts: fault injectors (consult boundaries move under
@@ -55,12 +63,18 @@
 //! order).
 
 use super::*;
-use crossbeam::channel::{Receiver, Sender};
 use hpcci_sim::{DomainPlan, SimDuration};
+use std::any::Any;
 use std::fmt::Write as _;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::Scope;
 use std::time::Instant;
 
-/// Target committed events per pooled window. The drain adapts its window
+/// A worker's panic payload, carried back to the coordinator to re-raise.
+type Panic = Box<dyn Any + Send + 'static>;
+
+/// Target committed events per pooled window. The driver adapts its window
 /// span toward this batch size: large enough to amortize the channel
 /// round-trip, small enough that the merge worker's trace replay overlaps
 /// the next window's domain execution instead of serializing behind it.
@@ -81,7 +95,7 @@ const SERIAL_NS_PER_EVENT: u64 = 400;
 
 /// Adaptive `min_wire` clamp. The floor keeps degenerate windows serial
 /// even when the measured overhead rounds to zero; the ceiling keeps a
-/// slow host from locking the drain out of parallelism entirely.
+/// slow host from locking the driver out of parallelism entirely.
 const PARALLEL_WIRE_FLOOR: usize = 8;
 const PARALLEL_WIRE_CEIL: usize = 256;
 
@@ -278,40 +292,6 @@ fn push_step(
     });
 }
 
-/// Run every domain of the plan to `horizon` on a one-shot scoped thread
-/// each. Used by the bounded `advance_to(t)` window path, where no drain
-/// loop exists to keep a pool alive.
-pub(super) fn run_domains(
-    endpoints: &mut [EndpointRegistration],
-    plan: &DomainPlan,
-    batches: &[DomainBatch],
-    horizon: SimTime,
-    logs: &mut Vec<DomainLog>,
-) {
-    debug_assert_eq!(plan.len(), batches.len());
-    logs.clear();
-    logs.resize_with(plan.len(), DomainLog::default);
-    assert_plan_disjoint(plan, endpoints.len());
-    let base = EndpointsBase::of(endpoints);
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = plan
-            .iter()
-            .zip(batches.iter().zip(logs.iter_mut()))
-            .map(|(slots, (batch, log))| {
-                scope.spawn(move |_| {
-                    let mut times = Vec::new();
-                    let mut scratch = Vec::new();
-                    run_domain_into(base, slots, batch, horizon, log, &mut times, &mut scratch);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("domain worker panicked");
-        }
-    })
-    .expect("domain scope");
-}
-
 /// A wire event of the window being replayed at the barrier. `Deliver`
 /// payloads travelled to the domains; only the stub (task + slot) stays
 /// behind so the coordinator can re-emit the record and the transition in
@@ -434,15 +414,17 @@ enum MergeCmd {
     Handback,
 }
 
-/// Per-drain state and static scaffolding of the pooled drive: `plan.len()`
-/// domain workers plus one merge worker, all channel-fed, plus every
-/// recycled per-window buffer.
+/// Per-drive state and static scaffolding of the window driver:
+/// `plan.len()` domain workers plus one merge worker, all channel-fed, plus
+/// every recycled per-window buffer.
 pub(super) struct WindowPool {
     job_txs: Vec<Sender<DomainJob>>,
-    result_rx: Receiver<DomainJob>,
+    /// Finished jobs, or the payload of a domain worker that panicked.
+    result_rx: Receiver<Result<DomainJob, Panic>>,
     merge_tx: Sender<MergeCmd>,
     recycle_rx: Receiver<TraceOps>,
-    trace_rx: Receiver<Box<Trace>>,
+    /// The handed-back trace, or the payload of a merge worker that panicked.
+    trace_rx: Receiver<Result<Box<Trace>, Panic>>,
     /// Per-domain delivery batches, refilled each window.
     batches: Vec<DomainBatch>,
     /// Per-domain logs, moved into jobs and back each window.
@@ -462,62 +444,74 @@ pub(super) struct WindowPool {
 }
 
 impl WindowPool {
-    /// Spawn the pool inside the drain's scope. Workers own only their slot
+    /// Spawn the pool inside the drive's scope. Workers own only their slot
     /// list and channel ends, so a window dispatch moves no thread state.
-    fn spawn<'scope, 'env>(
-        scope: &crossbeam::thread::Scope<'scope, 'env>,
+    /// Each worker runs under `catch_unwind` and sends a panic back as a
+    /// poison result instead of dying silently: the other workers keep the
+    /// result channel open, so a silent death would leave the coordinator
+    /// blocked at the barrier forever.
+    fn spawn<'scope>(
+        scope: &'scope Scope<'scope, '_>,
         plan: &DomainPlan,
         n_slots: usize,
         slot_syms: Vec<Sym>,
     ) -> WindowPool {
         assert_plan_disjoint(plan, n_slots);
-        let (result_tx, result_rx) = crossbeam::channel::unbounded::<DomainJob>();
+        let (result_tx, result_rx) = channel::<Result<DomainJob, Panic>>();
         let mut job_txs = Vec::with_capacity(plan.len());
         for slots in plan.iter() {
-            let (tx, rx) = crossbeam::channel::unbounded::<DomainJob>();
+            let (tx, rx) = channel::<DomainJob>();
             let result_tx = result_tx.clone();
             let slots: Vec<usize> = slots.to_vec();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut times: Vec<Option<SimTime>> = Vec::new();
                 let mut scratch: Vec<(TaskId, TaskOutput)> = Vec::new();
                 while let Ok(mut job) = rx.recv() {
-                    run_domain_into(
-                        job.base,
-                        &slots,
-                        &job.batch,
-                        job.horizon,
-                        &mut job.log,
-                        &mut times,
-                        &mut scratch,
-                    );
-                    if result_tx.send(job).is_err() {
+                    let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                        run_domain_into(
+                            job.base,
+                            &slots,
+                            &job.batch,
+                            job.horizon,
+                            &mut job.log,
+                            &mut times,
+                            &mut scratch,
+                        )
+                    }));
+                    let poisoned = ran.is_err();
+                    if result_tx.send(ran.map(|()| job)).is_err() || poisoned {
                         break;
                     }
                 }
             });
             job_txs.push(tx);
         }
-        let (merge_tx, merge_rx) = crossbeam::channel::unbounded::<MergeCmd>();
-        let (recycle_tx, recycle_rx) = crossbeam::channel::unbounded::<TraceOps>();
-        let (trace_tx, trace_rx) = crossbeam::channel::unbounded::<Box<Trace>>();
-        scope.spawn(move |_| {
+        let (merge_tx, merge_rx) = channel::<MergeCmd>();
+        let (recycle_tx, recycle_rx) = channel::<TraceOps>();
+        let (trace_tx, trace_rx) = channel::<Result<Box<Trace>, Panic>>();
+        scope.spawn(move || {
             let mut trace: Option<Box<Trace>> = None;
-            while let Ok(cmd) = merge_rx.recv() {
-                match cmd {
-                    MergeCmd::Resume(t) => trace = Some(t),
-                    MergeCmd::Apply(mut ops) => {
-                        let t = trace.as_mut().expect("merge worker holds the trace");
-                        ops.apply(t, &slot_syms);
-                        ops.clear();
-                        let _ = recycle_tx.send(ops);
-                    }
-                    MergeCmd::Handback => {
-                        let t = trace.take().expect("handback without a resident trace");
-                        if trace_tx.send(t).is_err() {
-                            break;
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                while let Ok(cmd) = merge_rx.recv() {
+                    match cmd {
+                        MergeCmd::Resume(t) => trace = Some(t),
+                        MergeCmd::Apply(mut ops) => {
+                            let t = trace.as_mut().expect("merge worker holds the trace");
+                            ops.apply(t, &slot_syms);
+                            ops.clear();
+                            let _ = recycle_tx.send(ops);
+                        }
+                        MergeCmd::Handback => {
+                            let t = trace.take().expect("handback without a resident trace");
+                            if trace_tx.send(Ok(t)).is_err() {
+                                break;
+                            }
                         }
                     }
                 }
+            }));
+            if let Err(payload) = ran {
+                let _ = trace_tx.send(Err(payload));
             }
         });
         WindowPool {
@@ -538,8 +532,35 @@ impl WindowPool {
         }
     }
 
+    /// Block for one domain worker's finished job; re-raise its panic.
+    fn recv_job(&self) -> DomainJob {
+        let result = self.result_rx.recv();
+        match result.expect("domain workers outlive the pool") {
+            Ok(job) => job,
+            Err(payload) => panic::resume_unwind(payload),
+        }
+    }
+
+    /// Send one command to the merge worker. If the worker is gone, it left
+    /// its panic payload on the trace channel: re-raise it here.
+    fn merge(&self, cmd: MergeCmd) {
+        if self.merge_tx.send(cmd).is_err() {
+            self.recv_trace();
+            unreachable!("a merge worker only exits early by panicking");
+        }
+    }
+
+    /// Block for the merge worker's trace handback; re-raise its panic.
+    fn recv_trace(&self) -> Box<Trace> {
+        let handback = self.trace_rx.recv();
+        match handback.expect("merge worker outlives the pool") {
+            Ok(trace) => trace,
+            Err(payload) => panic::resume_unwind(payload),
+        }
+    }
+
     fn reclaim_applied(&mut self) {
-        while let Some(ops) = self.recycle_rx.try_recv() {
+        while let Ok(ops) = self.recycle_rx.try_recv() {
             self.ops_recycled += 1;
             self.ops_free.push(ops);
         }
@@ -555,7 +576,7 @@ impl WindowPool {
     }
 }
 
-/// The per-drain constants of a window: the (immutable) domain partition
+/// The per-drive constants of a window: the (immutable) domain partition
 /// and each slot's one-way return latency. Probed once, not per window —
 /// both are pure functions of the registered endpoints, which cannot change
 /// while a drive holds `&mut CloudService`.
@@ -968,148 +989,115 @@ impl CloudService {
         }
     }
 
-    /// Advance the whole federation to `t` using one worker thread per
-    /// lookahead domain, then merge the domain logs back into the committed
-    /// trace. Returns the last committed instant, or `None` when the window
-    /// held no events at all. This is the bounded-window entry point used
-    /// by `advance_to(t)`: threads are scoped to the window and the trace
-    /// records apply synchronously. [`Self::drain_pooled`] is the pipelined
-    /// pool variant.
+    /// The window driver: dispatch every pending instant at or before `t`
+    /// with a persistent worker pool — bounded, span-adapted parallel
+    /// windows (clipped to `t`) whenever the remaining work admits them,
+    /// serial steps otherwise (with the trace flushed back from the merge
+    /// worker first). Leaves `now` at the last committed instant. The
+    /// committed trace is byte-identical to the serial step loop at any
+    /// width; only wall time and the barrier/stall/overhead counters depend
+    /// on the pool.
     ///
     /// Caller guarantees: no fault injector anywhere, no shared batch
     /// scheduler (see [`CloudService::parallel_static_ok`]), and a plan with
     /// at least two domains.
-    pub(super) fn advance_window_parallel(&mut self, t: SimTime) -> Option<SimTime> {
-        let ctx = self.window_ctx();
-        // A one-shot "pool" shell: same buffers, no threads, no merge
-        // worker — `run_domains` scopes the domain threads per window.
-        let mut shell = WindowPool {
-            job_txs: Vec::new(),
-            result_rx: crossbeam::channel::unbounded().1,
-            merge_tx: crossbeam::channel::unbounded().0,
-            recycle_rx: crossbeam::channel::unbounded().1,
-            trace_rx: crossbeam::channel::unbounded().1,
-            batches: (0..ctx.plan.len()).map(|_| DomainBatch::default()).collect(),
-            logs: Vec::new(),
-            replay: EventQueue::new(),
-            deferred: Vec::new(),
-            ops_free: Vec::new(),
-            trace_out: false,
-            ops_sent: 0,
-            ops_recycled: 0,
-            spawned: 0,
-        };
-        self.drain_stranded(&mut shell.deferred);
-        self.extract_window(t, &ctx, &mut shell);
-        let mut logs = std::mem::take(&mut shell.logs);
-        run_domains(&mut self.endpoints, &ctx.plan, &shell.batches, t, &mut logs);
-        shell.logs = logs;
-        let mut ops = TraceOps::default();
-        let last = self.commit_window(t, &ctx, &mut shell, &mut ops);
-        ops.apply(&mut self.trace, &self.slot_syms);
-        last
-    }
-
-    /// Run the event loop to quiescence with a persistent worker pool:
-    /// bounded, span-adapted parallel windows whenever the remaining work
-    /// admits them, serial steps otherwise (with the trace flushed back
-    /// from the merge worker first). The committed trace is byte-identical
-    /// to the serial drain at any width; only wall time and the
-    /// barrier/stall/overhead counters depend on the pool.
-    pub(super) fn drain_pooled(&mut self) -> SimTime {
-        let ctx = self.window_ctx();
-        crossbeam::thread::scope(|scope| {
-            let mut pool: Option<WindowPool> = None;
-            while let Some(first) = self.next_event() {
-                let deadline = first + SimDuration::from_micros(self.window_span_us);
+    pub(super) fn drive_windows(&mut self, t: SimTime) {
+        std::thread::scope(|scope| {
+            let mut pooled: Option<(WindowCtx, WindowPool)> = None;
+            while let Some(first) = self.next_step().filter(|&s| s <= t) {
+                let deadline = (first + SimDuration::from_micros(self.window_span_us)).min(t);
                 if self.parallel_window_ok(deadline) {
-                    if pool.is_none() {
-                        let p = WindowPool::spawn(
+                    if pooled.is_none() {
+                        let ctx = self.window_ctx();
+                        let pool = WindowPool::spawn(
                             scope,
                             &ctx.plan,
                             self.endpoints.len(),
                             self.slot_syms.clone(),
                         );
-                        self.pool_spawns += p.spawned;
-                        pool = Some(p);
+                        self.pool_spawns += pool.spawned;
+                        pooled = Some((ctx, pool));
                     }
-                    let pool = pool.as_mut().expect("pool just ensured");
-                    let events_before = self.events_dispatched;
-                    let overhead_start = Instant::now();
-                    self.drain_stranded(&mut pool.deferred);
-                    self.extract_window(deadline, &ctx, pool);
-                    // Dispatch: move each domain's batch + recycled log to
-                    // its worker; barrier on all results before the merge
-                    // touches any endpoint.
-                    let base = EndpointsBase::of(&mut self.endpoints);
-                    for d in 0..ctx.plan.len() {
-                        let job = DomainJob {
-                            domain: d,
-                            base,
-                            horizon: deadline,
-                            batch: std::mem::take(&mut pool.batches[d]),
-                            log: std::mem::take(&mut pool.logs[d]),
-                        };
-                        assert!(pool.job_txs[d].send(job).is_ok(), "domain worker alive");
-                    }
-                    let dispatched = overhead_start.elapsed();
-                    for _ in 0..ctx.plan.len() {
-                        let job = pool.result_rx.recv().expect("domain worker alive");
-                        pool.batches[job.domain] = job.batch;
-                        pool.logs[job.domain] = job.log;
-                    }
-                    // The merge worker owns the trace while the pool runs;
-                    // nothing below records to `self.trace` directly.
-                    if !pool.trace_out {
-                        let trace = Box::new(std::mem::take(&mut self.trace));
-                        assert!(
-                            pool.merge_tx.send(MergeCmd::Resume(trace)).is_ok(),
-                            "merge worker alive"
-                        );
-                        pool.trace_out = true;
-                    }
-                    let commit_start = Instant::now();
-                    let mut ops = pool.take_ops();
-                    let last = self.commit_window(deadline, &ctx, pool, &mut ops);
-                    assert!(
-                        pool.merge_tx.send(MergeCmd::Apply(ops)).is_ok(),
-                        "merge worker alive"
-                    );
-                    pool.ops_sent += 1;
-                    self.pipeline_depth_max = self.pipeline_depth_max.max(pool.in_flight());
-                    let overhead = dispatched + commit_start.elapsed();
-                    self.adapt_window(
-                        &ctx,
-                        overhead.as_nanos() as u64,
-                        self.events_dispatched - events_before,
-                    );
-                    if let Some(last) = last {
+                    let Some((ctx, pool)) = pooled.as_mut() else {
+                        unreachable!("pool spawned above");
+                    };
+                    if let Some(last) = self.run_window(deadline, ctx, pool) {
                         self.now = last;
                         continue;
                     }
                     // Defensive: a window that committed nothing cannot
                     // advance the clock — fall through to one serial step so
-                    // the drain always progresses.
+                    // the drive always progresses.
                 }
-                // Serial fallback for this step: the coordinator records to
-                // the trace itself, so reclaim it from the merge worker
-                // first.
-                if let Some(p) = &mut pool {
-                    self.flush_merge(p);
+                // Serial step: the coordinator records to the trace itself,
+                // so reclaim it from the merge worker first.
+                if let Some((_, pool)) = pooled.as_mut() {
+                    self.flush_merge(pool);
                 }
                 self.domain_stats.serial_fallbacks += 1;
-                if self.step_next(SimTime::FAR_FUTURE).is_none() {
-                    break;
-                }
+                self.advance_serial(first);
             }
-            if let Some(mut p) = pool.take() {
-                self.flush_merge(&mut p);
+            if let Some((_, pool)) = pooled.as_mut() {
+                self.flush_merge(pool);
             }
             // Dropping the pool closes every job/merge channel; the scope
             // then joins the (now exiting) workers.
-        })
-        .expect("window pool scope");
-        self.now
+        });
+    }
+
+    /// One pooled window over `[now, deadline]`: extract its wire events,
+    /// run every domain to `deadline` on its worker, barrier, commit the
+    /// merged state, and hand the described trace records to the merge
+    /// worker. Returns the last committed instant, or `None` when the
+    /// window held no events at all.
+    fn run_window(
+        &mut self,
+        deadline: SimTime,
+        ctx: &WindowCtx,
+        pool: &mut WindowPool,
+    ) -> Option<SimTime> {
+        let events_before = self.events_dispatched;
+        let overhead_start = Instant::now();
+        self.drain_stranded(&mut pool.deferred);
+        self.extract_window(deadline, ctx, pool);
+        // Dispatch: move each domain's batch + recycled log to its worker;
+        // barrier on all results before the merge touches any endpoint.
+        let base = EndpointsBase::of(&mut self.endpoints);
+        for d in 0..ctx.plan.len() {
+            let job = DomainJob {
+                domain: d,
+                base,
+                horizon: deadline,
+                batch: std::mem::take(&mut pool.batches[d]),
+                log: std::mem::take(&mut pool.logs[d]),
+            };
+            assert!(pool.job_txs[d].send(job).is_ok(), "domain worker alive");
+        }
+        let dispatched = overhead_start.elapsed();
+        for _ in 0..ctx.plan.len() {
+            let job = pool.recv_job();
+            pool.batches[job.domain] = job.batch;
+            pool.logs[job.domain] = job.log;
+        }
+        // The merge worker owns the trace while the pool runs; nothing below
+        // records to `self.trace` directly.
+        if !pool.trace_out {
+            pool.merge(MergeCmd::Resume(Box::new(std::mem::take(&mut self.trace))));
+            pool.trace_out = true;
+        }
+        let commit_start = Instant::now();
+        let mut ops = pool.take_ops();
+        let last = self.commit_window(deadline, ctx, pool, &mut ops);
+        pool.merge(MergeCmd::Apply(ops));
+        pool.ops_sent += 1;
+        self.pipeline_depth_max = self.pipeline_depth_max.max(pool.in_flight());
+        let overhead = dispatched + commit_start.elapsed();
+        self.adapt_window(
+            ctx,
+            overhead.as_nanos() as u64,
+            self.events_dispatched - events_before,
+        );
+        last
     }
 
     /// Block until the merge worker has applied every outstanding window
@@ -1122,12 +1110,8 @@ impl CloudService {
         if pool.in_flight() > 0 {
             self.merge_stalls += 1;
         }
-        assert!(
-            pool.merge_tx.send(MergeCmd::Handback).is_ok(),
-            "merge worker alive"
-        );
-        let trace = pool.trace_rx.recv().expect("merge worker returns the trace");
-        self.trace = *trace;
+        pool.merge(MergeCmd::Handback);
+        self.trace = *pool.recv_trace();
         pool.trace_out = false;
         pool.reclaim_applied();
     }

@@ -197,9 +197,9 @@ impl Endpoint {
         self.injector = Some(injector);
     }
 
-    /// Does this endpoint consult a fault injector? Containers fall back to
-    /// the exhaustive advance path for fault-aware children so fault consult
-    /// boundaries never move.
+    /// Does this endpoint consult a fault injector? Containers count a
+    /// fault-aware child as due at every step so fault consult boundaries
+    /// never move.
     pub fn has_injector(&self) -> bool {
         self.injector.is_some()
     }

@@ -115,9 +115,9 @@ pub struct MultiUserEndpoint {
     /// Outputs of tasks that were in flight when the MEP crashed; drained by
     /// [`Self::take_finished`] alongside live UEP outputs.
     pending_crashed: Vec<(TaskId, TaskOutput)>,
-    /// Indexed event dispatch over UEP pairs: only pairs with a due event
-    /// are advanced (fault-free runs; with an injector the MEP falls back to
-    /// the exhaustive path so fault consult boundaries never move).
+    /// Indexed event dispatch over UEP pairs: fault-free, only pairs with a
+    /// due event are advanced. With an injector every pair is due at every
+    /// advance, so the cache only tracks slots and is never consulted.
     cache: NextEventCache,
     /// Slot → local user of the pair occupying it.
     slot_users: Vec<String>,
@@ -436,27 +436,26 @@ impl Advance for MultiUserEndpoint {
     }
 
     fn advance_to(&mut self, t: SimTime) {
-        if self.injector.is_some() {
-            // Fault-aware path: advance every pair so each UEP consults the
-            // injector at exactly the boundaries the exhaustive scan used.
-            if self
+        // With an injector every pair is due, so each UEP consults it at
+        // every step and no fault consult boundary moves; otherwise only
+        // the pairs the cache finds due are advanced.
+        let fault_aware = self.injector.is_some();
+        if fault_aware
+            && self
                 .injector
                 .as_ref()
                 .is_some_and(|inj| inj.crash_due(&self.name, t))
-            {
-                self.crash_all(t);
-            }
-            for pair in self.ueps.values_mut() {
-                pair.login.advance_to(t);
-                pair.task.advance_to(t);
-            }
-            return;
+        {
+            self.crash_all(t);
         }
-        self.refresh_cache();
         self.due_scratch.clear();
-        self.due_scratch.extend(self.cache.due(t));
-        // Process due pairs in local-user (map key) order — the same order
-        // the exhaustive scan advanced them in.
+        if fault_aware {
+            self.due_scratch.extend(0..self.slot_users.len());
+        } else {
+            self.refresh_cache();
+            self.due_scratch.extend(self.cache.due(t));
+        }
+        // Process due pairs in local-user (map key) order.
         {
             let users = &self.slot_users;
             self.due_scratch
@@ -472,7 +471,9 @@ impl Advance for MultiUserEndpoint {
             pair.task.advance_to(t);
             self.cache.mark_dirty(slot);
         }
-        self.refresh_cache();
+        if !fault_aware {
+            self.refresh_cache();
+        }
     }
 }
 

@@ -14,7 +14,8 @@
 //!   of worker scheduling — a parallel sweep is bit-identical to a serial
 //!   one.
 
-use crossbeam::{channel, thread};
+use std::panic;
+use std::sync::{Mutex, PoisonError};
 
 /// A sensible worker count for sweeps: the machine's available parallelism.
 pub fn default_threads() -> usize {
@@ -85,8 +86,8 @@ where
 ///
 /// With `threads <= 1` (or fewer than two jobs) the jobs run inline on the
 /// caller's thread — the reference serial sweep. Otherwise `threads` workers
-/// pull jobs from a shared queue; a job panicking propagates the panic after
-/// the remaining workers are joined.
+/// claim jobs one at a time from a shared queue; a job panicking propagates
+/// the panic after the remaining workers are joined.
 pub fn sweep<F, R>(jobs: Vec<F>, threads: usize) -> Vec<R>
 where
     F: FnOnce() -> R + Send,
@@ -97,37 +98,34 @@ where
     }
     let n = jobs.len();
     let workers = threads.min(n);
-    let (job_tx, job_rx) = channel::unbounded();
-    let (result_tx, result_rx) = channel::unbounded();
+    // The lock is held only to claim the next job, never while one runs, so
+    // a panicking job cannot poison it.
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    thread::scope(|scope| {
-        for indexed in jobs.into_iter().enumerate() {
-            if job_tx.send(indexed).is_err() {
-                unreachable!("job receiver outlives the send loop");
-            }
-        }
-        drop(job_tx);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let result_tx = result_tx.clone();
-            scope.spawn(move |_| {
-                while let Ok((idx, job)) = job_rx.recv() {
-                    let out: R = job();
-                    if result_tx.send((idx, out)).is_err() {
-                        return;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some((idx, job)) = next() {
+                        done.push((idx, job()));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (idx, out) in done {
+                        results[idx] = Some(out);
                     }
                 }
-            });
+                Err(payload) => panic::resume_unwind(payload),
+            }
         }
-        drop(result_tx);
-        for _ in 0..n {
-            let (idx, out) = result_rx
-                .recv()
-                .expect("a sweep worker died before finishing its jobs");
-            results[idx] = Some(out);
-        }
-    })
-    .expect("sweep scope");
+    });
     results
         .into_iter()
         .map(|r| r.expect("every index produced exactly one result"))

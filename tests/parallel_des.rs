@@ -13,10 +13,17 @@
 //!   `submit_shell_batch`) stay byte-identical at every width while the
 //!   backlog itself engages parallel windows — the submit-aware extraction
 //!   added with the persistent pool (PR 10);
+//! * bounded `advance_to(now + Δ)` increments mixed with `step_next` calls —
+//!   the route `World::sleep`/`World::step` take — stay byte-identical at
+//!   every width, through the same window driver the drain uses;
+//! * with observability on, the metrics snapshot is width-invariant apart
+//!   from the documented engine diagnostics (`sim.domain_*`, `sim.cache_*`);
+//! * a task command that panics inside a domain worker surfaces as a panic
+//!   of the drain within bounded wall time — never as a hang;
 //! * fault plans — endpoint crashes and WAN partitions landing on endpoints
 //!   in different domains — keep the traces identical at every width (the
-//!   cloud degrades to the exhaustive serial path so fault consult
-//!   boundaries never move);
+//!   cloud stays on the serial step loop, with every endpoint due at every
+//!   step, so fault consult boundaries never move);
 //! * a zero-lookahead federation (endpoints coupled through a shared batch
 //!   scheduler) degrades to a single domain no matter the worker budget.
 //!
@@ -31,12 +38,15 @@ use hpcci::faas::{
     CloudService, Endpoint, EndpointConfig, EndpointId, EndpointRegistration, MepTemplate,
     MultiUserEndpoint, WorkerProvider,
 };
+use hpcci::obs::Obs;
 use hpcci::scheduler::{LocalProvider, SlurmProvider};
 use hpcci::sim::{
-    drive, DetRng, FaultInjector, FaultKind, FaultPlan, SimDuration, SimTime,
+    drive, Advance, DetRng, FaultInjector, FaultKind, FaultPlan, SimDuration, SimTime,
 };
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// Number of generated cases per property (the federation builds here are
 /// heavier than the data-structure proptests, so fewer cases).
@@ -250,6 +260,182 @@ fn batched_submit_waves_bit_identical_across_widths() {
     );
 }
 
+/// Bounded advance — `advance_to(now + Δ)` increments as `World::sleep`
+/// issues them, mixed with `step_next` calls as `World::step` issues them —
+/// commits the same trace and dispatches the same events at every width.
+/// Wide, each `advance_to` runs through the deadline-clipped window driver,
+/// so some windows must engage for the property to test anything.
+#[test]
+fn bounded_advance_bit_identical_across_widths() {
+    let mut parallel_windows = 0u64;
+    for case in 0..CASES {
+        let mut rng = case_rng("bounded_advance", case);
+        let shape = gen_shape(&mut rng);
+        let pace_seed = rng.range_u64(0, u64::MAX);
+        let run = |workers: usize| {
+            let (mut cloud, token, ids) = build_cloud(&shape, workers);
+            // The pacing stream is consumed identically at every width.
+            let mut pace = DetRng::seed_from_u64(pace_seed);
+            let mut t = 0usize;
+            for &wave in &shape.waves {
+                let now = cloud.now();
+                for _ in 0..wave {
+                    let ep = &ids[t % ids.len()];
+                    cloud.submit_shell(&token, ep, "work", now).expect("submit");
+                    t += 1;
+                }
+                while cloud.next_event().is_some() {
+                    if pace.range_u64(0, 4) == 0 {
+                        cloud.step_next(SimTime::FAR_FUTURE);
+                    } else {
+                        let delta = SimDuration::from_millis(pace.range_u64(1, 20_000));
+                        let target = cloud.now() + delta;
+                        cloud.advance_to(target);
+                        assert_eq!(cloud.now(), target, "advance_to lands on its target");
+                    }
+                }
+            }
+            (
+                cloud.trace.render(),
+                cloud.events_dispatched(),
+                cloud.domain_stats().barriers,
+            )
+        };
+        let (serial_trace, serial_events, _) = run(1);
+        for &w in &WIDTHS[1..] {
+            let (trace, events, barriers) = run(w);
+            assert_eq!(
+                serial_trace, trace,
+                "case {case}: width {w} diverged from serial under bounded advance"
+            );
+            assert_eq!(
+                serial_events, events,
+                "case {case}: width {w} dispatched a different event count"
+            );
+            parallel_windows += barriers;
+        }
+    }
+    assert!(
+        parallel_windows > 0,
+        "no bounded advance ever engaged a parallel window — the property tested nothing"
+    );
+}
+
+/// Sim-time metrics are width-invariant: with observability on, the
+/// snapshot's JSON is identical at every width once the documented engine
+/// diagnostics are set aside — `sim.domain_*` (window counters, exported
+/// only wide) and `sim.cache_*` (dispatch-cache effectiveness, which
+/// windows bypass).
+#[test]
+fn obs_snapshot_identical_across_widths() {
+    let mut parallel_windows = 0u64;
+    for case in 0..CASES {
+        let mut rng = case_rng("obs_snapshot", case);
+        let shape = gen_shape(&mut rng);
+        let run = |workers: usize| {
+            let (mut cloud, token, ids) = build_cloud(&shape, workers);
+            cloud.set_obs(Obs::enabled());
+            let mut t = 0usize;
+            for &wave in &shape.waves {
+                let now = cloud.now();
+                for _ in 0..wave {
+                    let ep = &ids[t % ids.len()];
+                    cloud.submit_shell(&token, ep, "work", now).expect("submit");
+                    t += 1;
+                }
+                cloud.drain_to_quiescence();
+            }
+            cloud.harvest_metrics();
+            let mut snap = cloud.obs().snapshot();
+            snap.counters.retain(|name, _| {
+                !name.starts_with("sim.domain_") && !name.starts_with("sim.cache_")
+            });
+            (snap.to_json(), cloud.domain_stats().barriers)
+        };
+        let (serial, _) = run(1);
+        assert!(
+            serial.contains("faas.task_latency_us"),
+            "case {case}: obs recorded nothing"
+        );
+        for &w in &WIDTHS[1..] {
+            let (json, barriers) = run(w);
+            assert_eq!(
+                serial, json,
+                "case {case}: width {w} metrics diverged from serial"
+            );
+            parallel_windows += barriers;
+        }
+    }
+    assert!(
+        parallel_windows > 0,
+        "no case ever engaged a parallel window — the property tested nothing"
+    );
+}
+
+/// A task command that panics inside a domain worker must re-panic from
+/// `drain_to_quiescence` — with its own payload — within bounded wall
+/// time at every width. The drain runs on a helper thread so a hang fails
+/// the test instead of wedging it.
+#[test]
+fn worker_panic_surfaces_at_every_width() {
+    const MESSAGE: &str = "task command exploded";
+    let shape = FedShape {
+        singles: vec![(2.0, 4); 4],
+        with_mep: false,
+        waves: vec![],
+    };
+    for &w in &WIDTHS {
+        let shape = shape.clone();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                let (mut cloud, token, ids) = build_cloud(&shape, w);
+                if let EndpointRegistration::Single(ep) = cloud.endpoint_mut(&ids[2]).unwrap() {
+                    ep.site()
+                        .lock()
+                        .commands
+                        .register("boom", |_| panic!("{MESSAGE}"));
+                }
+                // A steady arrival stream keeps the wire deep enough for
+                // windows to stay open, so the panicking task is delivered
+                // and run inside a domain worker mid-stream.
+                let arrivals: Vec<SimTime> = (0..600).map(SimTime::from_secs).collect();
+                for ep in &ids {
+                    cloud
+                        .submit_shell_batch(&token, ep, "work", SimTime::ZERO, &arrivals)
+                        .expect("schedule arrivals");
+                }
+                cloud
+                    .submit_shell_at(
+                        &token,
+                        &ids[2],
+                        "boom",
+                        SimTime::ZERO,
+                        SimTime::from_secs(300),
+                    )
+                    .expect("schedule the panicking task");
+                cloud.drain_to_quiescence();
+            }));
+            let message = ran.err().map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(message);
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("width {w}: a panicking task hung the drain"));
+        assert_eq!(
+            outcome.as_deref(),
+            Some(MESSAGE),
+            "width {w}: the drain must re-raise the task's own panic"
+        );
+    }
+}
+
 /// The width-1 windowed drain is byte-identical to the classic single-step
 /// loop it replaced.
 #[test]
@@ -276,8 +462,8 @@ fn windowed_drain_matches_single_step_loop() {
 
 /// Fault plans — endpoint crashes and WAN partitions crossing domain
 /// boundaries — keep every width byte-identical to serial: a fault-aware
-/// federation degrades to the exhaustive serial path so consult boundaries
-/// never move.
+/// federation stays on the serial step loop with every endpoint due, so
+/// consult boundaries never move.
 #[test]
 fn fault_plans_stay_bit_identical_at_every_width() {
     for case in 0..CASES {
