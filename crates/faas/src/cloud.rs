@@ -76,6 +76,20 @@ impl EndpointRegistration {
         }
     }
 
+    fn consult_deadline(&self) -> Option<SimTime> {
+        match self {
+            EndpointRegistration::Single(e) => e.consult_deadline(),
+            EndpointRegistration::Multi(m) => m.consult_deadline(),
+        }
+    }
+
+    /// Would an advance to `t` find anything: an event or a consult deadline
+    /// at or before it?
+    fn due_at(&self, t: SimTime) -> bool {
+        self.next_event().is_some_and(|at| at <= t)
+            || self.consult_deadline().is_some_and(|at| at <= t)
+    }
+
     fn shares_scheduler(&self) -> bool {
         match self {
             EndpointRegistration::Single(e) => e.shares_scheduler(),
@@ -178,7 +192,7 @@ pub struct CloudService {
     injector: Option<FaultInjector>,
     /// Indexed event dispatch over registered endpoints: each step only
     /// re-probes endpoints the cloud touched (plus volatile pilot-job ones)
-    /// and only advances endpoints with a due event.
+    /// and only advances endpoints with a due event or consult deadline.
     cache: NextEventCache,
     /// Endpoint id → cache slot.
     slots: BTreeMap<EndpointId, usize>,
@@ -203,14 +217,6 @@ pub struct CloudService {
     /// Scratch: finished outputs drained from one endpoint, reused across
     /// steps so collection allocates nothing in steady state.
     finished_scratch: Vec<(TaskId, TaskOutput)>,
-    /// Any fault injector present (cloud's own or an endpoint's)? If so every
-    /// endpoint counts as due at every step (see [`Self::dispatch_step`]) so
-    /// fault consult boundaries — which fire at the first consult at/after
-    /// their scheduled time — never move.
-    fault_aware: bool,
-    /// An `endpoint_mut` borrow escaped; re-evaluate `fault_aware` before
-    /// the next advance (see [`Self::settle_fault_posture`]).
-    recheck_faults: bool,
     /// Observability handle, propagated to endpoints at registration.
     obs: Obs,
     /// Hot-loop counters kept as plain fields (no lock, no branch beyond the
@@ -283,8 +289,6 @@ impl CloudService {
             touched: Vec::new(),
             wire_scratch: Vec::new(),
             finished_scratch: Vec::new(),
-            fault_aware: false,
-            recheck_faults: false,
             obs: Obs::disabled(),
             pending_submits: 0,
             tasks_submitted: 0,
@@ -402,7 +406,10 @@ impl CloudService {
     /// injector anywhere (consult boundaries move under partitioning), and
     /// at least two domains under positive lookahead.
     fn parallel_static_ok(&mut self) -> bool {
-        if self.workers <= 1 || self.fault_aware {
+        if self.workers <= 1
+            || self.injector.is_some()
+            || self.endpoints.iter().any(EndpointRegistration::has_injector)
+        {
             return false;
         }
         self.ensure_domain_plan();
@@ -439,10 +446,8 @@ impl CloudService {
     /// Dispatch every pending instant at or before `t` — through the window
     /// driver when the federation admits parallel windows, through the
     /// serial step loop otherwise — leaving `now` at the last instant
-    /// dispatched. The fault posture cannot change mid-run (`endpoint_mut`
-    /// escapes need `&mut self` back), so it is settled once up front.
+    /// dispatched.
     fn run_until(&mut self, t: SimTime) {
-        self.settle_fault_posture();
         if self.parallel_static_ok() {
             self.drive_windows(t);
         } else {
@@ -450,21 +455,10 @@ impl CloudService {
         }
     }
 
-    /// Re-derive `fault_aware` after an `endpoint_mut` escape (the borrow
-    /// may have attached or replaced an injector).
-    fn settle_fault_posture(&mut self) {
-        if self.recheck_faults {
-            self.recheck_faults = false;
-            self.fault_aware =
-                self.injector.is_some() || self.endpoints.iter().any(|ep| ep.has_injector());
-        }
-    }
-
     /// Attach a fault injector. The cloud consults it for WAN partitions on
     /// both wire legs; an empty plan leaves every delivery time untouched.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(injector);
-        self.fault_aware = true;
     }
 
     /// Attach an observability handle. Propagates to every endpoint already
@@ -530,7 +524,6 @@ impl CloudService {
                 EndpointRegistration::Multi(m) => m.set_obs(self.obs.clone()),
             }
         }
-        self.fault_aware |= registration.has_injector();
         let volatile = registration.shares_scheduler();
         let slot = match self.slots.get(&eid) {
             Some(&slot) => slot,
@@ -566,12 +559,10 @@ impl CloudService {
             return Err(FaasError::UnknownEndpoint(id.0.clone()));
         };
         // The borrow may change anything about the endpoint — including
-        // attaching a fault injector — so invalidate its cached time,
-        // queue it for output collection, and recheck fault-awareness
-        // before the next advance.
+        // attaching a fault injector — so invalidate its cached time and
+        // consult deadline, and queue it for output collection.
         self.cache.mark_dirty(slot);
         self.touched.push(slot);
-        self.recheck_faults = true;
         self.domain_plan = None;
         Ok(&mut self.endpoints[slot])
     }
@@ -969,18 +960,16 @@ impl CloudService {
     }
 
     /// The earliest pending instant: the wire's head or the earliest
-    /// endpoint event. Fault-aware, the endpoint side is an exhaustive probe
-    /// of every endpoint; otherwise the dispatch cache answers after
-    /// re-probing only dirty (and volatile) slots.
+    /// endpoint event, which the dispatch cache answers after re-probing
+    /// only dirty (and volatile) slots. Consult deadlines ride along in the
+    /// same probe but never make an instant of their own.
     fn next_step(&mut self) -> Option<SimTime> {
-        let endpoint_next = if self.fault_aware {
-            self.endpoints.iter().filter_map(|ep| ep.next_event()).min()
-        } else {
-            let endpoints = &self.endpoints;
-            self.cache.refresh(|slot| endpoints[slot].next_event());
-            self.cache.min()
-        };
-        match (self.wire.next_time(), endpoint_next) {
+        let endpoints = &self.endpoints;
+        self.cache.refresh_with(
+            |slot| endpoints[slot].next_event(),
+            |slot| endpoints[slot].consult_deadline(),
+        );
+        match (self.wire.next_time(), self.cache.min()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -998,29 +987,37 @@ impl CloudService {
     /// endpoint-name order, collect their finished outputs onto the return
     /// wire, then handle the wire events due at `step`.
     ///
-    /// The due set is the only thing fault injection changes. With an
-    /// injector every endpoint is due — injected faults fire at the first
-    /// consult at/after their scheduled time, so skipping a quiescent
-    /// endpoint would move its consult boundary and change which instant a
-    /// fault lands on. Without one, only the endpoints the cache finds due
-    /// are advanced.
+    /// An endpoint is due when its next event or its consult deadline is at
+    /// or before `step`: an injected fault fires at the first step at or
+    /// after its scheduled time, on the endpoint whose advance consults it,
+    /// whether or not that endpoint had an event of its own there. A fault
+    /// that frees a shared scheduler's node wakes later-named tenants within
+    /// the pass ([`NextEventCache::join_pass`]).
     fn dispatch_step(&mut self, step: SimTime) {
         self.now = step;
         self.due_scratch.clear();
-        if self.fault_aware {
-            self.due_scratch.extend_from_slice(&self.ordered_slots);
-        } else {
-            self.due_scratch.extend(self.cache.due(step));
-            let rank = &self.slot_rank;
-            self.due_scratch.sort_unstable_by_key(|&s| rank[s]);
-        }
-        self.events_dispatched += self.due_scratch.len() as u64;
-        for i in 0..self.due_scratch.len() {
+        self.due_scratch.extend(self.cache.due(step));
+        let rank = &self.slot_rank;
+        self.due_scratch.sort_unstable_by_key(|&s| rank[s]);
+        let mut i = 0;
+        while i < self.due_scratch.len() {
             let slot = self.due_scratch[i];
+            let consulted = self.cache.deadline(slot).is_some_and(|at| at <= step);
             self.endpoints[slot].advance_to(step);
             self.cache.mark_dirty(slot);
             self.touched.push(slot);
+            if consulted {
+                let endpoints = &self.endpoints;
+                self.cache.join_pass(
+                    &mut self.due_scratch,
+                    i,
+                    |s| rank[s],
+                    |s| endpoints[s].due_at(step),
+                );
+            }
+            i += 1;
         }
+        self.events_dispatched += self.due_scratch.len() as u64;
         self.collect_touched_returns(step);
         // Bulk drain: an event a handler pushes at `step` itself waits for
         // the loop's next pass over the same instant.
@@ -1037,9 +1034,9 @@ impl CloudService {
 
 impl Advance for CloudService {
     fn next_event(&self) -> Option<SimTime> {
-        if self.fault_aware || self.recheck_faults || self.cache.any_dirty() {
-            // Exhaustive probe: fault injection active, or the cache has
-            // pending invalidations only an `&mut` advance may flush.
+        if self.cache.any_dirty() {
+            // Exhaustive probe: the cache has pending invalidations only an
+            // `&mut` advance may flush.
             let mut next = self.wire.next_time();
             for ep in self.endpoints.iter() {
                 if let Some(t) = ep.next_event() {
@@ -1073,7 +1070,6 @@ impl Advance for CloudService {
     /// cost per step `O(due endpoints)` probes, not `O(all endpoints)` walks.
     /// One instant never opens a parallel window, so this is always serial.
     fn step_next(&mut self, deadline: SimTime) -> Option<SimTime> {
-        self.settle_fault_posture();
         let step = self.next_step().filter(|&s| s <= deadline)?;
         self.advance_serial(step);
         Some(step)

@@ -63,6 +63,32 @@ impl WorkerProvider {
             WorkerProvider::Slurm(p) => p.next_event(),
         }
     }
+
+    /// When block `id` started running, read without advancing the
+    /// provider. A local block turns active at its own provider event, so
+    /// only a pilot can start behind the endpoint's back.
+    fn running_since(&self, id: BlockId) -> Option<SimTime> {
+        match self {
+            WorkerProvider::Local(_) => None,
+            WorkerProvider::Slurm(p) => p.running_since(id),
+        }
+    }
+
+    /// When a node drain is first due on the shared scheduler, if ever.
+    fn drain_pending(&self) -> Option<SimTime> {
+        match self {
+            WorkerProvider::Local(_) => None,
+            WorkerProvider::Slurm(p) => p.drain_pending(),
+        }
+    }
+}
+
+/// The earlier of two optional instants.
+pub(crate) fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
 }
 
 /// Static configuration of an endpoint.
@@ -145,6 +171,15 @@ pub struct Endpoint {
     now: SimTime,
     rng: DetRng,
     injector: Option<FaultInjector>,
+    /// When this endpoint's earliest pending crash is scheduled, refreshed
+    /// at attach time and after every consult it triggers. Consults only
+    /// ever remove faults, so the copy can be early, never late.
+    pending_crash: Option<SimTime>,
+    /// When the shared scheduler's earliest pending node drain is
+    /// scheduled, refreshed after every advance and enqueue. Any tenant may
+    /// consume a drain, so the copy can be early, never late: an early one
+    /// costs one advance that consults nothing.
+    pending_drain: Option<SimTime>,
     /// Observability handle (disabled by default; see [`Self::set_obs`]).
     obs: Obs,
     /// When the currently outstanding pilot block was requested; taken when
@@ -177,6 +212,8 @@ impl Endpoint {
             now: SimTime::ZERO,
             rng: DetRng::seed_from_u64(seed),
             injector: None,
+            pending_crash: None,
+            pending_drain: None,
             obs: Obs::disabled(),
             provision_pending: None,
             exec_identity: None,
@@ -194,14 +231,39 @@ impl Endpoint {
     /// Attach a fault injector. The endpoint consults it at its event
     /// boundaries; with an empty plan the consults are guaranteed no-ops.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
+        self.pending_crash = injector.crash_pending(&self.config.name);
         self.injector = Some(injector);
     }
 
-    /// Does this endpoint consult a fault injector? Containers count a
-    /// fault-aware child as due at every step so fault consult boundaries
-    /// never move.
+    /// Does this endpoint consult a fault injector? Parallel windows are
+    /// only opened over federations without one.
     pub fn has_injector(&self) -> bool {
         self.injector.is_some()
+    }
+
+    /// The consult deadline: the earliest instant at which this endpoint's
+    /// own [`Advance::advance_to`] would do something that is no event of
+    /// its own. That is:
+    /// - its pending `EndpointCrash`;
+    /// - while a block with queued work makes the advance poll the shared
+    ///   batch scheduler, that scheduler's pending `NodeDrain`;
+    /// - the **pilot wake**: a pilot that started behind the endpoint's
+    ///   back (another tenant's crash or drain freed its node) while tasks
+    ///   queue and a worker is free.
+    ///
+    /// Containers count the endpoint due at the first step at or after the
+    /// deadline, so faults and wakes land on the step they would if every
+    /// endpoint advanced at every step.
+    pub fn consult_deadline(&self) -> Option<SimTime> {
+        let Some(block) = self.block.filter(|_| !self.stopped && !self.queue.is_empty()) else {
+            return self.pending_crash;
+        };
+        let mut deadline = earliest(self.pending_crash, self.pending_drain);
+        if self.busy_workers < self.config.workers {
+            let wake = self.provider.running_since(block).map(|s| s.max(self.now));
+            deadline = earliest(deadline, wake);
+        }
+        deadline
     }
 
     /// Can this endpoint's next event move without the endpoint itself being
@@ -214,11 +276,18 @@ impl Endpoint {
     }
 
     /// Is a scheduled crash due for this endpoint at `now`? Consumes the
-    /// fault if so (it is one-shot).
-    fn crash_due(&self, now: SimTime) -> bool {
-        self.injector
-            .as_ref()
-            .is_some_and(|inj| inj.crash_due(&self.config.name, now))
+    /// fault if so (it is one-shot). The injector is consulted only once
+    /// the cached pending crash is due, which is exactly when it can hit.
+    fn crash_due(&mut self, now: SimTime) -> bool {
+        let Some(inj) = &self.injector else {
+            return false;
+        };
+        if self.pending_crash.is_none_or(|at| at > now) {
+            return false;
+        }
+        let hit = inj.crash_due(&self.config.name, now);
+        self.pending_crash = inj.crash_pending(&self.config.name);
+        hit
     }
 
     /// Simulate the endpoint worker process crashing: every queued task and
@@ -316,6 +385,7 @@ impl Endpoint {
             }
         }
         self.pump();
+        self.pending_drain = self.provider.drain_pending();
         Ok(())
     }
 
@@ -535,6 +605,7 @@ impl Advance for Endpoint {
         }
         self.now = t;
         self.pump();
+        self.pending_drain = self.provider.drain_pending();
     }
 }
 

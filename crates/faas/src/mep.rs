@@ -12,7 +12,7 @@
 //! `SlurmProvider` for test execution — with commands routed between them by
 //! name.
 
-use crate::endpoint::{Endpoint, EndpointConfig, WorkerProvider};
+use crate::endpoint::{earliest, Endpoint, EndpointConfig, WorkerProvider};
 use crate::error::FaasError;
 use crate::exec::SharedSite;
 use crate::function::FunctionId;
@@ -90,10 +90,16 @@ struct UepPair {
 
 impl UepPair {
     fn next_event(&self) -> Option<SimTime> {
-        match (self.login.next_event(), self.task.next_event()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        earliest(self.login.next_event(), self.task.next_event())
+    }
+
+    fn consult_deadline(&self) -> Option<SimTime> {
+        earliest(self.login.consult_deadline(), self.task.consult_deadline())
+    }
+
+    fn due_at(&self, t: SimTime) -> bool {
+        self.next_event().is_some_and(|at| at <= t)
+            || self.consult_deadline().is_some_and(|at| at <= t)
     }
 }
 
@@ -110,14 +116,17 @@ pub struct MultiUserEndpoint {
     audit_log: Vec<(TaskId, String, String)>,
     seed: u64,
     injector: Option<FaultInjector>,
+    /// When this MEP's earliest pending crash is scheduled, refreshed after
+    /// every consult that could have fired one (see
+    /// [`Endpoint::consult_deadline`]).
+    pending_crash: Option<SimTime>,
     /// Observability handle, propagated into every forked UEP.
     obs: Obs,
     /// Outputs of tasks that were in flight when the MEP crashed; drained by
     /// [`Self::take_finished`] alongside live UEP outputs.
     pending_crashed: Vec<(TaskId, TaskOutput)>,
-    /// Indexed event dispatch over UEP pairs: fault-free, only pairs with a
-    /// due event are advanced. With an injector every pair is due at every
-    /// advance, so the cache only tracks slots and is never consulted.
+    /// Indexed event dispatch over UEP pairs: only pairs with a due event
+    /// or consult deadline are advanced.
     cache: NextEventCache,
     /// Slot → local user of the pair occupying it.
     slot_users: Vec<String>,
@@ -138,6 +147,7 @@ impl MultiUserEndpoint {
             audit_log: Vec::new(),
             seed: 0x6d65_7000,
             injector: None,
+            pending_crash: None,
             obs: Obs::disabled(),
             pending_crashed: Vec::new(),
             cache: NextEventCache::new(),
@@ -148,7 +158,21 @@ impl MultiUserEndpoint {
 
     /// Attach a fault injector consulted at enqueue/advance boundaries.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
+        self.pending_crash = injector.crash_pending(&self.name);
         self.injector = Some(injector);
+    }
+
+    /// Is a scheduled MEP crash due at `now`? Consumes it if so.
+    fn crash_due(&mut self, now: SimTime) -> bool {
+        let Some(inj) = &self.injector else {
+            return false;
+        };
+        if self.pending_crash.is_none_or(|at| at > now) {
+            return false;
+        }
+        let hit = inj.crash_due(&self.name, now);
+        self.pending_crash = inj.crash_pending(&self.name);
+        hit
     }
 
     /// Attach an observability handle, propagated into every UEP this MEP
@@ -162,6 +186,7 @@ impl MultiUserEndpoint {
     }
 
     /// Does this MEP (and hence every UEP it forks) consult a fault injector?
+    /// Parallel windows are only opened over federations without one.
     pub fn has_injector(&self) -> bool {
         self.injector.is_some()
     }
@@ -173,12 +198,22 @@ impl MultiUserEndpoint {
         matches!(self.template.task_provider, TaskProvider::Slurm { .. })
     }
 
+    /// The consult deadline (see [`Endpoint::consult_deadline`]): this
+    /// MEP's own pending crash, or the earliest deadline of a forked UEP.
+    pub fn consult_deadline(&self) -> Option<SimTime> {
+        self.ueps
+            .values()
+            .fold(self.pending_crash, |d, pair| earliest(d, pair.consult_deadline()))
+    }
+
     /// Re-probe dirty (and volatile) pair slots.
     fn refresh_cache(&mut self) {
         let ueps = &self.ueps;
         let users = &self.slot_users;
-        self.cache
-            .refresh(|slot| ueps[&users[slot]].next_event());
+        self.cache.refresh_with(
+            |slot| ueps[&users[slot]].next_event(),
+            |slot| ueps[&users[slot]].consult_deadline(),
+        );
     }
 
     /// A MEP-level crash tears down every forked UEP. In-flight tasks fail
@@ -348,10 +383,8 @@ impl MultiUserEndpoint {
         now: SimTime,
     ) -> Result<(), FaasError> {
         let command: Sym = command.into();
-        if let Some(inj) = &self.injector {
-            if inj.crash_due(&self.name, now) {
-                self.crash_all(now);
-            }
+        if self.crash_due(now) {
+            self.crash_all(now);
         }
         self.ha_policy.check(identity, now)?;
         let local_user = self
@@ -418,13 +451,8 @@ impl MultiUserEndpoint {
 
 impl Advance for MultiUserEndpoint {
     fn next_event(&self) -> Option<SimTime> {
-        if self.injector.is_some() || self.cache.any_dirty() {
-            return self
-                .ueps
-                .values()
-                .flat_map(|p| [p.login.next_event(), p.task.next_event()])
-                .flatten()
-                .min();
+        if self.cache.any_dirty() {
+            return self.ueps.values().filter_map(UepPair::next_event).min();
         }
         let mut next = self.cache.min_stable();
         for &slot in self.cache.volatile_slots() {
@@ -435,45 +463,39 @@ impl Advance for MultiUserEndpoint {
         next
     }
 
+    /// Advance the pairs with an event or consult deadline at or before
+    /// `t`, in local-user (map key) order, after consulting this MEP's own
+    /// crash. A fault in one pair wakes later users' pairs within the same
+    /// advance ([`NextEventCache::join_pass`]).
     fn advance_to(&mut self, t: SimTime) {
-        // With an injector every pair is due, so each UEP consults it at
-        // every step and no fault consult boundary moves; otherwise only
-        // the pairs the cache finds due are advanced.
-        let fault_aware = self.injector.is_some();
-        if fault_aware
-            && self
-                .injector
-                .as_ref()
-                .is_some_and(|inj| inj.crash_due(&self.name, t))
-        {
+        if self.crash_due(t) {
             self.crash_all(t);
         }
         self.due_scratch.clear();
-        if fault_aware {
-            self.due_scratch.extend(0..self.slot_users.len());
-        } else {
-            self.refresh_cache();
-            self.due_scratch.extend(self.cache.due(t));
-        }
-        // Process due pairs in local-user (map key) order.
-        {
-            let users = &self.slot_users;
-            self.due_scratch
-                .sort_unstable_by(|&a, &b| users[a].cmp(&users[b]));
-        }
-        for i in 0..self.due_scratch.len() {
+        self.refresh_cache();
+        self.due_scratch.extend(self.cache.due(t));
+        let users = &self.slot_users;
+        self.due_scratch.sort_unstable_by(|&a, &b| users[a].cmp(&users[b]));
+        let mut i = 0;
+        while i < self.due_scratch.len() {
             let slot = self.due_scratch[i];
-            let pair = self
-                .ueps
-                .get_mut(&self.slot_users[slot])
-                .expect("slot maps to a live uep");
+            let consulted = self.cache.deadline(slot).is_some_and(|at| at <= t);
+            let pair = self.ueps.get_mut(&users[slot]).expect("slot maps to a live uep");
             pair.login.advance_to(t);
             pair.task.advance_to(t);
             self.cache.mark_dirty(slot);
+            if consulted {
+                let ueps = &self.ueps;
+                self.cache.join_pass(
+                    &mut self.due_scratch,
+                    i,
+                    |s| &users[s],
+                    |s| ueps[&users[s]].due_at(t),
+                );
+            }
+            i += 1;
         }
-        if !fault_aware {
-            self.refresh_cache();
-        }
+        self.refresh_cache();
     }
 }
 

@@ -113,6 +113,14 @@ impl BatchScheduler {
         self.injector = Some((injector, label.to_string()));
     }
 
+    /// When a pending node-drain fault first becomes due for this
+    /// scheduler, if ever. Read-only: a drain fires at the first
+    /// [`Advance::advance_to`] at or after this time.
+    pub fn drain_pending(&self) -> Option<SimTime> {
+        let (inj, label) = self.injector.as_ref()?;
+        inj.drain_pending(label)
+    }
+
     /// Attach an observability handle; `label` names this scheduler's
     /// per-site metric series (the site name at the federation layer).
     pub fn set_obs(&mut self, obs: Obs, label: &str) {

@@ -218,6 +218,24 @@ impl SlurmProvider {
     pub fn job_of(&self, id: BlockId) -> Option<JobId> {
         self.blocks.get(&id).copied()
     }
+
+    /// When block `id`'s pilot started, if it is running. Read-only:
+    /// unlike [`ExecutionProvider::block_state`] it does not advance the
+    /// shared scheduler, so it reports what the scheduler has already
+    /// decided — including a pilot that another tenant's release started.
+    pub fn running_since(&self, id: BlockId) -> Option<SimTime> {
+        let job = *self.blocks.get(&id)?;
+        match self.scheduler.lock().state(job) {
+            Ok(JobState::Running { started, .. }) => Some(started),
+            _ => None,
+        }
+    }
+
+    /// When a node drain is first due on the shared scheduler, if ever
+    /// (see [`BatchScheduler::drain_pending`]).
+    pub fn drain_pending(&self) -> Option<SimTime> {
+        self.scheduler.lock().drain_pending()
+    }
 }
 
 impl ExecutionProvider for SlurmProvider {

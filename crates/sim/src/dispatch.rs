@@ -21,6 +21,18 @@
 //! only `&self` can combine the stable minimum with fresh probes of the
 //! (few) volatile slots.
 //!
+//! Besides its next event, a slot may carry a **consult deadline**: the
+//! earliest instant at which the child's own `advance_to` would act on
+//! something that is no event of its own — consume a pending injected fault
+//! (see [`crate::faults`]), or pick up a change a sibling made behind its
+//! back (a pilot job another tenant's crash let start). A deadline makes
+//! the slot due at the first step at or after it ([`NextEventCache::due`])
+//! but never creates a step: [`NextEventCache::min`] ignores deadlines. So
+//! a fault fires at the first step at or after its scheduled time whether
+//! or not the faulted child had an event of its own there. Deadlines are
+//! re-probed exactly like next events: on dirty bits, and on every refresh
+//! for volatile slots.
+//!
 //! The cache is purely an index: it never reorders events and never makes a
 //! child observable earlier or later than the rescan would. Replays from a
 //! seed stay bit-identical (the golden-trace suite pins this).
@@ -57,6 +69,7 @@ impl CacheStats {
 #[derive(Debug, Default, Clone)]
 pub struct NextEventCache {
     times: Vec<Option<SimTime>>,
+    deadlines: Vec<Option<SimTime>>,
     dirty: Vec<bool>,
     volatile: Vec<bool>,
     volatile_slots: Vec<usize>,
@@ -74,6 +87,7 @@ impl NextEventCache {
     /// Add a slot for a new child; it starts dirty. Returns the slot index.
     pub fn register(&mut self) -> usize {
         self.times.push(None);
+        self.deadlines.push(None);
         self.dirty.push(true);
         self.volatile.push(false);
         self.dirty_count += 1;
@@ -140,8 +154,18 @@ impl NextEventCache {
 
     /// Recompute every dirty or volatile slot by asking `probe(slot)` for
     /// the child's current next-event time; clean stable slots are not
-    /// consulted.
-    pub fn refresh(&mut self, mut probe: impl FnMut(usize) -> Option<SimTime>) {
+    /// consulted. No slot gets a consult deadline.
+    pub fn refresh(&mut self, probe: impl FnMut(usize) -> Option<SimTime>) {
+        self.refresh_with(probe, |_| None);
+    }
+
+    /// [`Self::refresh`], also asking `deadline(slot)` for the consult
+    /// deadline of every re-probed slot (see the module docs).
+    pub fn refresh_with(
+        &mut self,
+        mut probe: impl FnMut(usize) -> Option<SimTime>,
+        mut deadline: impl FnMut(usize) -> Option<SimTime>,
+    ) {
         if self.dirty_count == 0 && self.volatile_slots.is_empty() {
             self.stats.hot_hits += 1;
             return;
@@ -152,6 +176,7 @@ impl NextEventCache {
                 self.stats.probes += 1;
                 self.stats.volatile_probes += (!*dirty) as u64;
                 self.times[slot] = probe(slot);
+                self.deadlines[slot] = deadline(slot);
                 *dirty = false;
             }
         }
@@ -179,9 +204,16 @@ impl NextEventCache {
         self.times[slot]
     }
 
+    /// Cached consult deadline for one slot (meaningful only when
+    /// refreshed).
+    pub fn deadline(&self, slot: usize) -> Option<SimTime> {
+        debug_assert!(!self.dirty[slot], "reading a dirty slot");
+        self.deadlines[slot]
+    }
+
     /// Earliest cached next event across all children. Callers must refresh
     /// first (which also re-probes volatile slots); a debug assert enforces
-    /// it.
+    /// it. Consult deadlines are not events and do not count.
     pub fn min(&self) -> Option<SimTime> {
         debug_assert!(self.dirty_count == 0, "min() over dirty cache");
         self.min
@@ -201,13 +233,44 @@ impl NextEventCache {
         self.stats
     }
 
-    /// Slots whose cached next event is due at or before `t`, ascending.
+    /// Extend a pass that advances the slots of `pass` in `key` order. Call
+    /// it after advancing `pass[at]` when that child's consult deadline was
+    /// due: a fault may have fired in it and changed shared state behind
+    /// its siblings' backs (a crash freeing a batch-scheduler node starts
+    /// another tenant's queued pilot). Every volatile slot ordered after it
+    /// that `is_due` now finds due joins the pass at its ordered position:
+    /// advancing every child at every step would have reached it later in
+    /// the same pass. Slots ordered before it see the change at the next
+    /// step, through their own consult deadline.
+    pub fn join_pass<K: Ord>(
+        &self,
+        pass: &mut Vec<usize>,
+        at: usize,
+        key: impl Fn(usize) -> K,
+        mut is_due: impl FnMut(usize) -> bool,
+    ) {
+        let after = key(pass[at]);
+        for &slot in &self.volatile_slots {
+            let k = key(slot);
+            if k <= after || pass[at + 1..].contains(&slot) || !is_due(slot) {
+                continue;
+            }
+            let pos = at + 1 + pass[at + 1..].partition_point(|&s| key(s) < k);
+            pass.insert(pos, slot);
+        }
+    }
+
+    /// Slots whose cached next event or consult deadline is at or before
+    /// `t`, ascending.
     pub fn due(&self, t: SimTime) -> impl Iterator<Item = usize> + '_ {
         debug_assert!(self.dirty_count == 0, "due() over dirty cache");
         self.times
             .iter()
+            .zip(&self.deadlines)
             .enumerate()
-            .filter(move |(_, cached)| cached.is_some_and(|at| at <= t))
+            .filter(move |(_, (next, deadline))| {
+                next.is_some_and(|at| at <= t) || deadline.is_some_and(|at| at <= t)
+            })
             .map(|(slot, _)| slot)
     }
 }
@@ -343,6 +406,47 @@ mod tests {
         total.absorb(stats);
         total.absorb(stats);
         assert_eq!(total.probes, 10);
+    }
+
+    #[test]
+    fn deadlines_make_slots_due_without_moving_min() {
+        let mut cache = NextEventCache::new();
+        let quiet = cache.register();
+        let busy = cache.register();
+        cache.refresh_with(
+            |slot| (slot == busy).then(|| SimTime::from_secs(6)),
+            |slot| (slot == quiet).then(|| SimTime::from_secs(4)),
+        );
+        assert_eq!(cache.min(), Some(SimTime::from_secs(6)), "a deadline is no event");
+        assert_eq!(cache.due(SimTime::from_secs(3)).count(), 0);
+        let due: Vec<usize> = cache.due(SimTime::from_secs(6)).collect();
+        assert_eq!(due, vec![quiet, busy], "the first step at or after the deadline");
+
+        assert_eq!(cache.deadline(quiet), Some(SimTime::from_secs(4)));
+
+        // A re-probe that reports no deadline clears it.
+        cache.mark_dirty(quiet);
+        cache.refresh(|_| None);
+        assert_eq!(cache.due(SimTime::from_secs(9)).collect::<Vec<_>>(), vec![busy]);
+    }
+
+    #[test]
+    fn join_pass_admits_later_due_volatile_slots_in_order() {
+        let mut cache = NextEventCache::new();
+        for slot in 0..5 {
+            cache.register();
+            cache.set_volatile(slot, slot != 3);
+        }
+        cache.refresh(|_| None);
+        // Pass over [1, 4] in descending-slot order, just advanced slot 4.
+        let mut pass = vec![4, 1];
+        cache.join_pass(&mut pass, 0, std::cmp::Reverse, |_| true);
+        // 3 is stable and 4 ordered itself; 2 and 0 join in key order, 1
+        // was already there.
+        assert_eq!(pass, vec![4, 2, 1, 0]);
+        let mut pass = vec![4, 1];
+        cache.join_pass(&mut pass, 0, std::cmp::Reverse, |s| s == 0);
+        assert_eq!(pass, vec![4, 1, 0]);
     }
 
     #[test]

@@ -12,6 +12,17 @@
 //! Every injection and recovery is recorded as a [`TraceEvent`](crate::trace::TraceEvent) in the
 //! injector's own trace (`fault.inject` / `fault.recover` kinds), keeping
 //! the chaos log separate from the functional trace.
+//!
+//! **Consults are wake-ups.** A fault fires at the first step at or after
+//! its scheduled time on which the component that consults it advances. An
+//! indexed event loop does not advance quiescent components, so each
+//! component reports its **consult deadline** — the earliest pending fault
+//! its own advance would consume, read through the non-consuming queries
+//! [`FaultInjector::crash_pending`] and [`FaultInjector::drain_pending`] —
+//! and the loop counts it due at the first step at or after that deadline
+//! (see [`crate::dispatch`]). A deadline never creates a step of its own,
+//! so the fault lands exactly where advancing every component at every
+//! step would have put it.
 
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
@@ -62,9 +73,10 @@ impl fmt::Display for FaultKind {
 /// One scheduled fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpec {
-    /// Earliest virtual time the fault may fire. The effect lands at the
-    /// first event boundary at or after this time, which keeps injection
-    /// deterministic without a dedicated fault clock.
+    /// Earliest virtual time the fault may fire. The consulting component is
+    /// woken at the first step at or after this time (its consult deadline)
+    /// and the effect lands there, which keeps injection deterministic
+    /// without a dedicated fault clock.
     pub at: SimTime,
     pub kind: FaultKind,
 }
@@ -225,6 +237,36 @@ impl FaultInjector {
         Some(fault.kind)
     }
 
+    /// Earliest scheduled time of a pending fault matched by `pick`, without
+    /// consuming anything: the read-only half of a consult, which lets an
+    /// event index wake a component at the first step its consult would
+    /// fire a fault.
+    fn first_pending<F>(&self, pick: F) -> Option<SimTime>
+    where
+        F: Fn(&FaultKind) -> bool,
+    {
+        self.lock()
+            .pending
+            .iter()
+            .filter(|f| pick(&f.kind))
+            .map(|f| f.at)
+            .min()
+    }
+
+    /// When [`Self::crash_due`] would first fire for `endpoint`, if ever.
+    pub fn crash_pending(&self, endpoint: &str) -> Option<SimTime> {
+        self.first_pending(|k| {
+            matches!(k, FaultKind::EndpointCrash { endpoint: e } if e == endpoint)
+        })
+    }
+
+    /// When [`Self::drain_due`] would first fire for `scheduler`, if ever.
+    pub fn drain_pending(&self, scheduler: &str) -> Option<SimTime> {
+        self.first_pending(|k| {
+            matches!(k, FaultKind::NodeDrain { scheduler: s } if s == scheduler)
+        })
+    }
+
     /// Endpoint boundary: should this endpoint crash now?
     pub fn crash_due(&self, endpoint: &str, now: SimTime) -> bool {
         self.take_due(now, || format!("faas.ep.{endpoint}"), |k| {
@@ -362,6 +404,30 @@ mod tests {
         assert!(inj.crash_due("ep-a", SimTime::from_secs(60)));
         assert!(!inj.crash_due("ep-a", SimTime::from_secs(70)), "consumed");
         assert_eq!(inj.trace().of_kind("fault.inject").count(), 1);
+    }
+
+    #[test]
+    fn pending_queries_read_without_consuming() {
+        let plan = FaultPlan::none()
+            .with_fault(
+                SimTime::from_secs(50),
+                FaultKind::EndpointCrash { endpoint: "ep-a".into() },
+            )
+            .with_fault(
+                SimTime::from_secs(20),
+                FaultKind::EndpointCrash { endpoint: "ep-a".into() },
+            )
+            .with_fault(SimTime::from_secs(30), FaultKind::NodeDrain { scheduler: "s".into() });
+        let inj = FaultInjector::new(plan);
+        assert_eq!(inj.crash_pending("ep-a"), Some(SimTime::from_secs(20)), "earliest wins");
+        assert_eq!(inj.crash_pending("ep-b"), None);
+        assert_eq!(inj.drain_pending("s"), Some(SimTime::from_secs(30)));
+        assert_eq!(inj.pending_len(), 3, "queries consume nothing");
+        assert!(inj.trace().is_empty(), "queries log nothing");
+        assert!(inj.crash_due("ep-a", SimTime::from_secs(25)));
+        assert_eq!(inj.crash_pending("ep-a"), Some(SimTime::from_secs(50)));
+        assert!(inj.drain_due("s", SimTime::from_secs(30)));
+        assert_eq!(inj.drain_pending("s"), None);
     }
 
     #[test]

@@ -180,3 +180,83 @@ fn task_results_preserve_submission_attribution() {
         .expect("done event traced");
     assert!(done_line.detail.contains("ran_as=x-alice"));
 }
+
+/// A co-tenant's crash starts a queued pilot at an instant that is no event
+/// of the waiting endpoint. `ep-a` and `ep-b` share one single-node
+/// scheduler: `ep-a`'s pilot holds the node, `ep-b`'s pilot waits in the
+/// queue behind it with tasks queued, and an `EndpointCrash` of `ep-a`
+/// releases the node. `ep-b`'s first task must start on the very step the
+/// crash fired, as it does when every endpoint advances at every step.
+#[test]
+fn crash_of_a_co_tenant_wakes_a_queued_pilot_on_the_same_step() {
+    use hpcci::auth::AuthService;
+    use hpcci::faas::exec::shared;
+    use hpcci::faas::{
+        CloudService, Endpoint, EndpointConfig, EndpointRegistration, SiteRuntime, TaskId,
+        WorkerProvider,
+    };
+    use hpcci::scheduler::{BatchScheduler, SlurmProvider};
+    use hpcci::sim::{FaultInjector, FaultKind, FaultPlan, SimDuration};
+    use parking_lot::Mutex;
+    use std::sync::Arc;
+
+    let auth = Arc::new(Mutex::new(AuthService::new()));
+    let (token, owner) = {
+        let mut a = auth.lock();
+        let identity = a.register_identity("tenant@hpcci.sim", "hpcci.sim", SimTime::ZERO);
+        let (cid, secret) = a.create_client(identity.id, "wake").unwrap();
+        let token = a
+            .authenticate(&cid, &secret, vec![Scope::compute_api()], SimTime::ZERO)
+            .unwrap();
+        (token, identity.id)
+    };
+    let injector = FaultInjector::new(FaultPlan::none().with_fault(
+        SimTime::from_secs(30),
+        FaultKind::EndpointCrash { endpoint: "ep-a".into() },
+    ));
+    let mut rt = SiteRuntime::new(Site::tamu_faster());
+    let node = rt.site.compute_nodes().next().unwrap().clone();
+    let partition = BatchScheduler::with_compute_partition(vec![node.id], node.cores);
+    let sched = Arc::new(Mutex::new(partition));
+    sched.lock().set_fault_injector(injector.clone(), "tamu-faster");
+    rt.scheduler = Some(sched.clone());
+    rt.commands.register("long", |_| ExecOutcome::ok("long", 500.0));
+    rt.commands.register("short", |_| ExecOutcome::ok("short", 1.0));
+    let accounts: Vec<_> = ["x-a", "x-b"]
+        .iter()
+        .map(|user| rt.site.add_account(user, "CIS230030"))
+        .collect();
+    let site = shared(rt);
+    let mut cloud = CloudService::new(auth);
+    cloud.set_fault_injector(injector.clone());
+    for (name, account) in ["ep-a", "ep-b"].iter().zip(&accounts) {
+        let mut ep = Endpoint::new(
+            EndpointConfig::new(name, owner, &account.username).with_workers(1),
+            site.clone(),
+            WorkerProvider::Slurm(SlurmProvider::new(
+                sched.clone(),
+                account.uid,
+                &account.allocation,
+                node.cores,
+                SimDuration::from_hours(1),
+            )),
+            7,
+        );
+        ep.set_fault_injector(injector.clone());
+        cloud.register_endpoint(name, EndpointRegistration::Single(Box::new(ep)));
+    }
+    let (ep_a, ep_b) = (EndpointId("ep-a".into()), EndpointId("ep-b".into()));
+    cloud.submit_shell(&token, &ep_a, "long", SimTime::ZERO).unwrap();
+    cloud
+        .submit_shell_batch(&token, &ep_b, "short", SimTime::ZERO, &[SimTime::from_secs(1); 2])
+        .unwrap();
+    cloud.drain_to_quiescence();
+
+    let chaos = injector.trace();
+    let crash = chaos.of_kind("fault.inject").next().expect("the crash fired").at();
+    assert!(crash >= SimTime::from_secs(30));
+    let first_b = cloud.task_result(TaskId(2)).unwrap();
+    assert!(first_b.success(), "{first_b:?}");
+    assert_eq!(first_b.ran_as, "x-b");
+    assert_eq!(first_b.started, crash, "ep-b's pilot starts when ep-a's crash frees the node");
+}

@@ -9,6 +9,8 @@
 //! recovery is recorded. A final test pins the zero-perturbation guarantee:
 //! an empty plan leaves the run bit-identical to one without an injector.
 
+mod common;
+
 use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
 use hpcci::ci::RunStatus;
 use hpcci::correct::{EndpointSpec, Federation, CORRECT_ACTION_NAME};
@@ -356,6 +358,20 @@ fn empty_fault_plan_keeps_fig4_artifacts_identical() {
             .collect::<Vec<_>>()
     };
     assert_eq!(artifacts(false), artifacts(true));
+}
+
+/// Same guarantee on the shared-scheduler topology (the `hpc_day` shape:
+/// four pilot-job tenants queueing on each site's single-node scheduler):
+/// an idle injector wired into the cloud, every endpoint and every
+/// scheduler changes no byte of the trace and no instant.
+#[test]
+fn empty_fault_plan_keeps_contention_topology_identical() {
+    let (bare, _) = common::contention_day(5, 600, None);
+    let (idle, injector) = common::contention_day(5, 600, Some(FaultPlan::none()));
+    assert!(bare.trace.render().contains("task.done"));
+    assert_eq!(bare.trace.render(), idle.trace.render());
+    assert_eq!(bare.now(), idle.now());
+    assert!(injector.expect("plan installed").trace().is_empty());
 }
 
 /// The "retries on vs off" ablation (DESIGN.md §4): the same single

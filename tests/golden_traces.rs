@@ -13,6 +13,8 @@
 //! moved (diff the rendered traces, `GOLDEN_DEBUG=1 cargo test golden --
 //! --nocapture` prints them).
 
+mod common;
+
 use hpcci::sim::{FaultPlan, SimDuration};
 
 /// FNV-1a over the rendered text: stable, dependency-free, and good enough
@@ -83,6 +85,34 @@ fn golden_randomized_fault_scenario_traces() {
     );
 }
 
+/// The paper's shared-scheduler topology under a randomized fault plan
+/// (the `hpc_day` shape: three SLURM sites, four pilot-job tenants per
+/// single-node scheduler, crashes and node drains freeing nodes for queued
+/// pilots). Both hashes were taken from the event loop that advanced every
+/// endpoint at every step whenever an injector was present; the indexed
+/// loop, which wakes only endpoints with a due event or consult deadline,
+/// must commit the same bytes. Under this plan a crash also starts the
+/// queued pilot of an earlier-named co-tenant, which may run its tasks only
+/// from the next step on: waking it at the freeing instant moves them.
+#[test]
+fn golden_contention_topology_fault_traces() {
+    let targets = common::contention_targets();
+    let refs: Vec<&str> = targets.iter().map(String::as_str).collect();
+    let horizon = common::contention_horizon(CONTENTION_TASKS);
+    let plan = FaultPlan::randomized(CONTENTION_CHAOS_SEED, horizon, 16, &refs);
+    let (cloud, injector) = common::contention_day(5, CONTENTION_TASKS, Some(plan));
+    let trace = cloud.trace.render();
+    let chaos = injector.expect("plan installed").trace().render();
+    debug_dump("contention trace", &trace);
+    debug_dump("contention chaos trace", &chaos);
+    assert!(chaos.contains("endpoint-crash") && chaos.contains("node-drain"));
+    assert_eq!(
+        (fnv1a(&trace), fnv1a(&chaos)),
+        (GOLDEN_CONTENTION_FAULT_TRACE, GOLDEN_CONTENTION_CHAOS_TRACE),
+        "contention topology traces under faults diverged from the goldens"
+    );
+}
+
 /// Step-cache determinism: a Record-mode run executes everything and must
 /// leave the pinned cache-off trace untouched; a Replay-mode run over the
 /// same world serves every step from the cache, so its (shorter) trace gets
@@ -140,3 +170,9 @@ const GOLDEN_PSIJ_TRACE: u64 = 761119000233767446;
 const GOLDEN_PSIJ_REPLAY_TRACE: u64 = 14695981039346656037;
 const GOLDEN_PARSLDOCK_FAULT_TRACE: u64 = 5155577981634125522;
 const GOLDEN_PARSLDOCK_CHAOS_TRACE: u64 = 10201305947749851509;
+// The contention topology's traces, hashed on the event loop that advanced
+// every endpoint at every step while an injector was present.
+const CONTENTION_TASKS: u64 = 1_500;
+const CONTENTION_CHAOS_SEED: u64 = 12;
+const GOLDEN_CONTENTION_FAULT_TRACE: u64 = 15286208869796516986;
+const GOLDEN_CONTENTION_CHAOS_TRACE: u64 = 984685310572521656;

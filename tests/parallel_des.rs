@@ -22,8 +22,8 @@
 //!   of the drain within bounded wall time — never as a hang;
 //! * fault plans — endpoint crashes and WAN partitions landing on endpoints
 //!   in different domains — keep the traces identical at every width (the
-//!   cloud stays on the serial step loop, with every endpoint due at every
-//!   step, so fault consult boundaries never move);
+//!   cloud stays on the serial step loop, where each endpoint's consult
+//!   deadline wakes it on the step its fault fires);
 //! * a zero-lookahead federation (endpoints coupled through a shared batch
 //!   scheduler) degrades to a single domain no matter the worker budget.
 //!
@@ -461,9 +461,9 @@ fn windowed_drain_matches_single_step_loop() {
 }
 
 /// Fault plans — endpoint crashes and WAN partitions crossing domain
-/// boundaries — keep every width byte-identical to serial: a fault-aware
-/// federation stays on the serial step loop with every endpoint due, so
-/// consult boundaries never move.
+/// boundaries — keep every width byte-identical to serial: a federation
+/// with an injector stays on the serial step loop, so consult boundaries
+/// never move.
 #[test]
 fn fault_plans_stay_bit_identical_at_every_width() {
     for case in 0..CASES {
@@ -510,8 +510,8 @@ fn fault_plans_stay_bit_identical_at_every_width() {
                 }
                 cloud.drain_to_quiescence();
             }
-            // Fault-aware federations must never partition — not even under
-            // the persistent pool: consult boundaries would move.
+            // Federations with an injector must never partition — not even
+            // under the persistent pool: consult boundaries would move.
             assert_eq!(
                 cloud.domain_stats().barriers,
                 0,

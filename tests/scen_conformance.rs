@@ -108,11 +108,25 @@ fn fleet_of_64_passes_all_oracles_serial_and_parallel() {
         );
     }
 
-    // The fleet exercises real structure, not 64 copies of one world.
-    let total_events: u64 = serial.iter().map(|r| r.events).sum();
+    // The fleet exercises real structure, not 64 copies of one world: most
+    // scenarios differ in what they ran, how much they dispatched, or when
+    // they ended. A fleet of clones has exactly one signature.
+    let floor = FLEET_SIZE as usize * 3 / 4;
+    let distinct = distinct_signatures(&serial);
+    assert!(distinct >= floor, "only {distinct} distinct scenario signatures");
+    let clones = distinct_signatures(std::iter::repeat_n(&serial[0], FLEET_SIZE as usize));
+    assert!(clones < floor, "the signature floor must reject a fleet of clones");
     let total_runs: usize = serial.iter().map(|r| r.runs).sum();
-    assert!(total_events > 10_000, "fleet dispatched {total_events} events");
     assert!(total_runs > FLEET_SIZE as usize, "fleet produced {total_runs} runs");
+}
+
+/// Distinct per-scenario `(runs, events, end time)` signatures in a fleet.
+fn distinct_signatures<'a>(reports: impl IntoIterator<Item = &'a OracleReport>) -> usize {
+    reports
+        .into_iter()
+        .map(|r| (r.runs, r.events, r.end_us))
+        .collect::<std::collections::BTreeSet<_>>()
+        .len()
 }
 
 /// Hand-written (not generator-pinned) fixture: three distinct sites — so
